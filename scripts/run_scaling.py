@@ -34,7 +34,7 @@ def main() -> None:
         spec = ExperimentSpec(
             function=args.func, dim=d, optimizer="adadgs", budget=budget,
             trials=args.trials, seed=args.seed, out_dir=f"{args.out}/d{d}",
-            adadgs=preset("paper-scaling"),
+            adadgs=preset("paper-1000d"),
         )
         summary = run_experiment(spec)
         ratios = []

@@ -10,9 +10,8 @@ from .benchmarks import (
     haar_rotation,
     make_benchmark,
     optimum_value,
-    subprocess_objective,
 )
-from .errors import DegenerateGradientError, EvaluationError
+from .errors import EvaluationError
 from .gradient import DgsGradient, Frame, dgs_gradient, dgs_stencil, directional_derivative, gs_mc_gradient
 from .harness import ExperimentSpec, list_functions, preset, run_experiment, run_trial
 from .optimizer import (

@@ -3,7 +3,11 @@ random search with forward differences, and central-finite-difference
 gradient descent.
 
 These use fixed learning rates and difference steps; they exist as
-comparison curves, not as tuned competitors.
+comparison curves, not as tuned competitors. Each supplies only its
+per-iteration step to `optimizer.drive`, the loop shared with AdaDGS: a
+generator `iterations(x0, f0)` that yields one `Iterate` per iteration,
+and the fixed number of evaluations an iteration uses. The driver owns
+the budget, the best point, the trace and the evaluation count.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import gs_mc_gradient
-from .trace import Trace
+from .gradient import SampledGradient, finite_samples, gs_mc_gradient
+from .optimizer import Iterate, drive
 
 METHODS = ("es_bpop", "nesterov", "fd")
 
@@ -39,12 +43,22 @@ class BaselineConfig:
             raise ValueError("need at least one of T_max, budget")
 
 
-def _continue(t, evals, step_cost, cfg) -> bool:
-    if cfg.T_max is not None and t >= cfg.T_max:
-        return False
-    if cfg.budget is not None and evals + step_cost > cfg.budget:
-        return False
-    return True
+def _descend(F, x0, cfg: BaselineConfig, cost: int, estimate):
+    """Gradient descent on `estimate(x)`, a SampledGradient; each iteration
+    reports its best sample as f_current."""
+    lam = cfg.learning_rate
+
+    def iterations(x, f0):
+        while True:
+            est = estimate(x)
+            k = int(np.argmin(est.values))
+            x_new = x - lam * est.vector
+            f_k = float(est.values[k])
+            yield Iterate(f_k, cfg.sigma_or_h, float(np.linalg.norm(x_new - x)),
+                          est.points[k], f_k)
+            x = x_new
+
+    return drive(F, x0, cfg.sigma_or_h, iterations, cost, cfg.T_max, cfg.budget)
 
 
 def es_bpop_minimize(F, x0, cfg: BaselineConfig):
@@ -59,37 +73,8 @@ def es_bpop_minimize(F, x0, cfg: BaselineConfig):
     if cfg.population is None or cfg.population < 2 or cfg.population % 2 != 0:
         raise ValueError(f"population must be a positive even integer, got {cfg.population}")
     rng = np.random.default_rng(cfg.seed)
-    x = np.asarray(x0, float)
-    d = x.shape[0]
-    sigma, lam, n = cfg.sigma_or_h, cfg.learning_rate, cfg.population
-
-    f0 = float(F(x))
-    evals, t = 1, 0
-    f_best, x_best = f0, x
-    trace = Trace()
-    trace.append(0, evals, f0, f0, sigma, 0.0)
-
-    while _continue(t, evals, n, cfg):
-        half = n // 2
-        U = rng.standard_normal((half, d))
-        f_plus = np.asarray(F(x[None, :] + sigma * U), float)
-        f_minus = np.asarray(F(x[None, :] - sigma * U), float)
-        evals += n
-        g = (f_plus - f_minus) @ U / (n * sigma)
-
-        samples = np.concatenate([f_plus, f_minus])
-        k = int(np.argmin(samples))
-        f_iter = float(samples[k])
-        if f_iter < f_best:
-            f_best = f_iter
-            x_best = x + sigma * U[k] if k < half else x - sigma * U[k - half]
-
-        x_new = x - lam * g
-        step = float(np.linalg.norm(x_new - x))
-        x = x_new
-        t += 1
-        trace.append(t, evals, f_iter, f_best, sigma, step)
-    return x_best, f_best, trace
+    return _descend(F, x0, cfg, cfg.population,
+                    lambda x: gs_mc_gradient(F, x, cfg.sigma_or_h, cfg.population, rng=rng))
 
 
 def nesterov_minimize(F, x0, cfg: BaselineConfig):
@@ -100,41 +85,31 @@ def nesterov_minimize(F, x0, cfg: BaselineConfig):
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    x = np.asarray(x0, float)
-    d = x.shape[0]
     h, lam = cfg.sigma_or_h, cfg.learning_rate
 
-    f0 = float(F(x))
-    evals, t = 1, 0
-    f_best, x_best = f0, x
-    trace = Trace()
-    trace.append(0, evals, f0, f0, h, 0.0)
+    def iterations(x, f0):
+        while True:
+            u = rng.standard_normal(x.shape[0])
+            x_h = x + h * u
+            fx, fxh = finite_samples([F(x), F(x_h)]).tolist()
+            deriv = (fxh - fx) / h
+            x_new = x - lam * deriv * u
+            best = (x_h, fxh) if fxh < fx else (x, fx)
+            yield Iterate(fx, h, float(np.linalg.norm(x_new - x)), *best)
+            x = x_new
 
-    while _continue(t, evals, 2, cfg):
-        u = rng.standard_normal(d)
-        fx = float(F(x))
-        fxh = float(F(x + h * u))
-        evals += 2
-        deriv = (fxh - fx) / h
-        x_new = x - lam * deriv * u
-        step = float(np.linalg.norm(x_new - x))
-        t += 1
-        for f_val, pt in ((fx, x), (fxh, x + h * u)):
-            if f_val < f_best:
-                f_best, x_best = f_val, pt
-        x = x_new
-        trace.append(t, evals, fx, f_best, h, step)
-    return x_best, f_best, trace
+    return drive(F, x0, h, iterations, 2, cfg.T_max, cfg.budget)
 
 
-def fd_gradient(F, x, h: float) -> np.ndarray:
+def fd_gradient(F, x, h: float) -> SampledGradient:
     """Central-difference gradient estimate (2d evaluations, batched)."""
     x = np.asarray(x, float)
     d = x.shape[0]
     E = h * np.eye(d)
-    f_plus = np.asarray(F(x[None, :] + E), float)
-    f_minus = np.asarray(F(x[None, :] - E), float)
-    return (f_plus - f_minus) / (2.0 * h)
+    points = np.concatenate([x[None, :] + E, x[None, :] - E])
+    values = finite_samples(np.concatenate([F(points[:d]), F(points[d:])]))
+    vector = (values[:d] - values[d:]) / (2.0 * h)
+    return SampledGradient(vector, points, values)
 
 
 def fd_minimize(F, x0, cfg: BaselineConfig):
@@ -144,32 +119,5 @@ def fd_minimize(F, x0, cfg: BaselineConfig):
     value of the iteration (the iterate is only evaluated once, at x0).
     """
     cfg.validate()
-    x = np.asarray(x0, float)
-    d = x.shape[0]
-    h, lam = cfg.sigma_or_h, cfg.learning_rate
-
-    f0 = float(F(x))
-    evals, t = 1, 0
-    f_best, x_best = f0, x
-    trace = Trace()
-    trace.append(0, evals, f0, f0, h, 0.0)
-
-    while _continue(t, evals, 2 * d, cfg):
-        E = h * np.eye(d)
-        f_plus = np.asarray(F(x[None, :] + E), float)
-        f_minus = np.asarray(F(x[None, :] - E), float)
-        evals += 2 * d
-        g = (f_plus - f_minus) / (2.0 * h)
-        x_new = x - lam * g
-        step = float(np.linalg.norm(x_new - x))
-        t += 1
-
-        probes = np.concatenate([f_plus, f_minus])
-        k = int(np.argmin(probes))
-        f_iter = float(probes[k])
-        if f_iter < f_best:
-            f_best = f_iter
-            x_best = x + E[k] if k < d else x - E[k - d]
-        x = x_new
-        trace.append(t, evals, f_iter, f_best, h, step)
-    return x_best, f_best, trace
+    d = np.asarray(x0).shape[0]
+    return _descend(F, x0, cfg, 2 * d, lambda x: fd_gradient(F, x, cfg.sigma_or_h))

@@ -190,10 +190,8 @@ class TransformedBenchmark(Objective):
     def __init__(self, name: str, rotation: np.ndarray, x_opt: np.ndarray):
         info = BENCHMARKS[name]
         d = len(x_opt)
-        self.name = name
         self.rotation = np.asarray(rotation, float)
         self.x_opt = np.asarray(x_opt, float)
-        self.z_star = info.z_star
 
         def fn(X, _info=info, _R=self.rotation, _xo=self.x_opt, _zs=info.z_star):
             Z = (X - _xo) @ _R.T
@@ -202,10 +200,6 @@ class TransformedBenchmark(Objective):
             return _info.fn(Z)
 
         super().__init__(fn, d, (info.lower, info.upper), label=name)
-
-    @property
-    def optimum(self) -> float:
-        return optimum_value(self.name, self.dim)
 
 
 def make_benchmark(name: str, d: int, seed) -> TransformedBenchmark:
@@ -314,8 +308,3 @@ class SubprocessObjective(Objective):
 
     def __exit__(self, *exc):
         self.close()
-
-
-def subprocess_objective(command, d: int, bounds=None, timeout: float | None = 30.0):
-    """Spawn a line-protocol worker process and wrap it as an Objective."""
-    return SubprocessObjective(command, d, bounds=bounds, timeout=timeout)

@@ -37,17 +37,6 @@ _BASELINE_FIELDS = {
     "population": int,
 }
 
-_EXPERIMENT_FIELDS = {
-    "func": str,
-    "dim": int,
-    "optimizer": str,
-    "trials": int,
-    "budget": int,
-    "seed": int,
-    "out": str,
-    "preset": str,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="adadgs", description=__doc__)

@@ -10,7 +10,3 @@ class EvaluationError(RuntimeError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
-
-
-class DegenerateGradientError(ValueError):
-    """Gradient norm too small to define a search direction."""

@@ -33,9 +33,6 @@ class Frame:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def direction(self, i: int) -> np.ndarray:
-        return self.matrix[i]
-
     @staticmethod
     def identity(d: int) -> "Frame":
         return Frame(np.eye(d))
@@ -53,15 +50,37 @@ class DgsGradient:
 
     directional: np.ndarray  # shape (d,)
     vector: np.ndarray  # shape (d,)
-    evals_used: int
+
+
+class SampledGradient(NamedTuple):
+    """A gradient estimate with the points it sampled and their values."""
+
+    vector: np.ndarray  # shape (d,)
+    points: np.ndarray  # shape (n, d)
+    values: np.ndarray  # shape (n,)
 
 
 class Stencil(NamedTuple):
-    """Sample points labelled by (direction index, quadrature node index)."""
+    """Sample points, direction-major: row i*k + m lies on direction xi_i at
+    quadrature node node_index[m], for the k nodes kept."""
 
-    points: np.ndarray  # shape (n, d)
-    dir_index: np.ndarray  # shape (n,)
-    node_index: np.ndarray  # shape (n,)
+    points: np.ndarray  # shape (d*k, d)
+    node_index: np.ndarray  # shape (k,)
+
+
+def finite_samples(values) -> np.ndarray:
+    """The one non-finite rule for objective samples that every estimator,
+    and the driver's f(x0), pass through.
+
+    Returns the values as a float array, or raises EvaluationError naming
+    the first non-finite sample, so no estimate is made from a NaN or inf.
+    """
+    values = np.asarray(values, float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise EvaluationError(f"non-finite objective value at sample {bad[0]}",
+                              index=int(bad[0]))
+    return values
 
 
 def dgs_stencil(
@@ -86,49 +105,31 @@ def dgs_stencil(
 
     nodes = rule.nodes
     keep = nodes != 0.0 if skip_zero_node else np.ones(rule.order, dtype=bool)
-    node_idx = np.nonzero(keep)[0]
-    d = frame.dim
-    # direction-major, node-ascending within each direction
-    dir_index = np.repeat(np.arange(d), node_idx.size)
-    node_index = np.tile(node_idx, d)
-    offsets = SQRT2 * sigma * nodes[node_index, None] * frame.matrix[dir_index]
-    return Stencil(points=x[None, :] + offsets, dir_index=dir_index, node_index=node_index)
+    node_index = np.nonzero(keep)[0]
+    scale = SQRT2 * sigma * nodes[node_index]
+    offsets = scale[None, :, None] * frame.matrix[:, None, :]  # (d, k, d)
+    return Stencil(points=(x + offsets).reshape(-1, x.shape[0]), node_index=node_index)
 
 
 def directional_derivative(
     values: np.ndarray,
     sigma: float,
     rule: QuadratureRule,
-    node_index: np.ndarray | None = None,
-) -> float:
+) -> float | np.ndarray:
     """GH estimate of the smoothed derivative from cross-section samples.
 
-    `values` aligns index-for-index with rule nodes; entries for skipped
-    zero nodes may be absent when `node_index` identifies the present ones
-    (or, with no index given, when exactly the zero nodes are missing).
+    The last axis of `values` aligns index-for-index with the rule's nodes;
+    any leading axes index directions, so one call assembles them all.
     """
     values = np.asarray(values, float)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.nonzero(~np.isfinite(values))[0][0])
-        raise EvaluationError(f"non-finite objective value at sample {bad}", index=bad)
-
-    full = np.zeros(rule.order)
-    if node_index is not None:
-        full[np.asarray(node_index, int)] = values
-    elif values.shape[0] == rule.order:
-        full[:] = values
-    elif values.shape[0] == rule.order - 1 and rule.order % 2 == 1:
-        present = np.nonzero(rule.nodes != 0.0)[0]
-        full[present] = values
-    else:
+    if values.shape[-1] != rule.order:
         raise ValueError(
-            f"got {values.shape[0]} values for a rule of order {rule.order}"
+            f"got {values.shape[-1]} values for a rule of order {rule.order}"
         )
-
     # summand for a zero node is exactly 0, so the padded sum is
     # bit-identical with and without zero-node skipping
-    terms = rule.weights * full * (SQRT2 * rule.nodes)
-    return float(np.sum(terms) / (SQRT_PI * sigma))
+    terms = rule.weights * values * (SQRT2 * rule.nodes)
+    return np.sum(terms, axis=-1) / (SQRT_PI * sigma)
 
 
 def dgs_gradient(
@@ -141,25 +142,12 @@ def dgs_gradient(
 ) -> DgsGradient:
     """Evaluate the full DGS gradient surrogate at x (batched stencil)."""
     stencil = dgs_stencil(x, frame, sigma, rule, skip_zero_node=skip_zero_node)
-    values = np.asarray(F(stencil.points), float)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.nonzero(~np.isfinite(values))[0][0])
-        raise EvaluationError(
-            f"non-finite objective value at stencil sample {bad}", index=bad
-        )
-
-    d = frame.dim
-    per_dir = stencil.points.shape[0] // d
-    directional = np.empty(d)
-    for i in range(d):
-        sl = slice(i * per_dir, (i + 1) * per_dir)
-        directional[i] = directional_derivative(
-            values[sl], sigma, rule, node_index=stencil.node_index[sl]
-        )
+    values = finite_samples(F(stencil.points))
+    full = np.zeros((frame.dim, rule.order))
+    full[:, stencil.node_index] = values.reshape(frame.dim, -1)
+    directional = directional_derivative(full, sigma, rule)
     vector = directional @ frame.matrix
-    return DgsGradient(
-        directional=directional, vector=vector, evals_used=stencil.points.shape[0]
-    )
+    return DgsGradient(directional=directional, vector=vector)
 
 
 def gs_mc_gradient(
@@ -167,39 +155,23 @@ def gs_mc_gradient(
     x: np.ndarray,
     sigma: float,
     n_samples: int,
-    antithetic: bool = True,
     rng: np.random.Generator | None = None,
-) -> np.ndarray:
+) -> SampledGradient:
     """Monte-Carlo estimate of the Gaussian-smoothed gradient.
 
     Returns (1 / (n sigma)) sum_k F(x + sigma u_k) u_k with u_k standard
-    normal. With antithetic sampling the directions come in (u, -u) pairs,
+    normal, sampled antithetically: the directions come in (u, -u) pairs,
     which cancels even-order terms exactly (a constant F yields exactly 0).
     """
     if rng is None:
         rng = np.random.default_rng()
     x = np.asarray(x, float)
-    d = x.shape[0]
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-
-    if antithetic:
-        if n_samples % 2 != 0:
-            raise ValueError("n_samples must be even with antithetic sampling")
-        half = n_samples // 2
-        U = rng.standard_normal((half, d))
-        f_plus = np.asarray(F(x[None, :] + sigma * U), float)
-        f_minus = np.asarray(F(x[None, :] - sigma * U), float)
-        vals = np.concatenate([f_plus, f_minus])
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.nonzero(~np.isfinite(vals))[0][0])
-            raise EvaluationError(f"non-finite objective value at sample {bad}", index=bad)
-        # pairwise form of the estimator: exact cancellation when F constant
-        return (f_plus - f_minus) @ U / (n_samples * sigma)
-
-    U = rng.standard_normal((n_samples, d))
-    vals = np.asarray(F(x[None, :] + sigma * U), float)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.nonzero(~np.isfinite(vals))[0][0])
-        raise EvaluationError(f"non-finite objective value at sample {bad}", index=bad)
-    return vals @ U / (n_samples * sigma)
+    if n_samples < 2 or n_samples % 2 != 0:
+        raise ValueError(f"n_samples must be a positive even number, got {n_samples}")
+    half = n_samples // 2
+    U = rng.standard_normal((half, x.shape[0]))
+    points = np.concatenate([x[None, :] + sigma * U, x[None, :] - sigma * U])
+    values = finite_samples(np.concatenate([F(points[:half]), F(points[half:])]))
+    # pairwise form of the estimator: exact cancellation when F constant
+    vector = (values[:half] - values[half:]) @ U / (n_samples * sigma)
+    return SampledGradient(vector, points, values)

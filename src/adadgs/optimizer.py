@@ -6,6 +6,9 @@ step length by an exhaustive log-spaced line search along the negative
 gradient direction, set the next smoothing radius to the mean of the
 current radius and the learned step, and re-randomize the direction frame
 (resetting the radius) whenever relative improvement falls below gamma.
+
+`drive` is the one loop behind AdaDGS and the baselines; each of them
+supplies only its per-iteration step (see `drive` for the contract).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .benchmarks import Objective, haar_rotation
-from .gradient import Frame, dgs_gradient
+from .gradient import Frame, dgs_gradient, finite_samples
 from .quadrature import gauss_hermite_rule
 from .trace import Trace
 
@@ -95,13 +98,52 @@ class OptimizerState:
     sigma: float
     frame: Frame
     t: int
-    evals: int
     f_current: float
-    f_best: float
-    x_best: np.ndarray
     last_reset_t: int
     rng: np.random.Generator
     last_step: float = 0.0
+
+
+class Iterate(NamedTuple):
+    """What one iteration reports to the driver."""
+
+    f_current: float  # the trace row's loss
+    sigma: float
+    step: float  # distance the iterate moved
+    x_sample: np.ndarray  # the best point evaluated in the iteration
+    f_sample: float  # and its value
+
+
+def drive(F, x0, sigma0, iterations, cost, T_max, budget) -> tuple[np.ndarray, float, Trace]:
+    """The one optimizer loop; returns (x_best, f_best, trace).
+
+    An optimizer supplies only its step: `iterations(x0, f0)`, a generator
+    whose every `next` runs one iteration, uses at most `cost` evaluations
+    of the Objective F, and yields an `Iterate`. The driver evaluates f(x0),
+    starts an iteration only while fewer than T_max have run and `cost`
+    more evaluations fit in the budget (either cap may be None), keeps the
+    best point, and appends one trace row per iteration, its evaluation
+    count read from F's own counter.
+    """
+    x0 = np.asarray(x0, float)
+    start = F.evals
+    f0 = float(finite_samples(F(x0)))
+    x_best, f_best = x0, f0
+    trace = Trace()
+    trace.append(0, 1, f0, f0, sigma0, 0.0)
+    steps = iterations(x0, f0)
+    t, evals = 0, 1
+    while (T_max is None or t < T_max) and (budget is None or evals + cost <= budget):
+        it = next(steps)
+        used = F.evals - start - evals
+        if used > cost:
+            raise RuntimeError(f"iteration {t + 1} used {used} evaluations, "
+                               f"more than its cost {cost}")
+        t, evals = t + 1, evals + used
+        if it.f_sample < f_best:
+            x_best, f_best = it.x_sample, it.f_sample
+        trace.append(t, evals, it.f_current, f_best, it.sigma, it.step)
+    return x_best, f_best, trace
 
 
 class LineSearchResult(NamedTuple):
@@ -110,16 +152,16 @@ class LineSearchResult(NamedTuple):
     lam: float  # learning rate: step_distance / ||g||
     x_new: np.ndarray
     f_new: float
-    evals_used: int
 
 
-def line_search(F, x, g, L_max, L_min, S, f_x=None) -> LineSearchResult:
+def line_search(F, x, g, L_max, L_min, S, f_x) -> LineSearchResult:
     """Exhaustive log-spaced line search along -g.
 
     Candidates are x - L_max * rho^j * g/||g||, j = 0..S-1, with
-    rho = (L_min/L_max)^(1/(S-1)). The incumbent x competes: a candidate
-    must strictly improve on f(x) to win, so the result never worsens.
-    Ties between candidates go to the smaller j (the longer step).
+    rho = (L_min/L_max)^(1/(S-1)). The incumbent x, of value f_x, competes:
+    a candidate must strictly improve on f_x to win, so the result never
+    worsens. Ties between candidates go to the smaller j (the longer step).
+    A non-finite candidate value ranks as +inf, so it never wins.
     """
     x = np.asarray(x, float)
     g = np.asarray(g, float)
@@ -127,24 +169,18 @@ def line_search(F, x, g, L_max, L_min, S, f_x=None) -> LineSearchResult:
     if gnorm <= DEGENERATE_NORM:
         raise ValueError(f"degenerate gradient: ||g|| = {gnorm:.3e}")
 
-    evals_used = 0
-    if f_x is None:
-        f_x = F(x)
-        evals_used += 1
-
     rho = (L_min / L_max) ** (1.0 / (S - 1))
     steps = L_max * rho ** np.arange(S)
     ghat = g / gnorm
     candidates = x[None, :] - steps[:, None] * ghat[None, :]
     fvals = np.asarray(F(candidates), float)
-    evals_used += S
+    fvals = np.where(np.isfinite(fvals), fvals, np.inf)
 
     j = int(np.argmin(fvals))  # first minimum: smallest j wins ties
     if fvals[j] < f_x:
         step = float(steps[j])
-        return LineSearchResult(j, step, step / gnorm, candidates[j], float(fvals[j]),
-                                evals_used)
-    return LineSearchResult(None, 0.0, 0.0, x, float(f_x), evals_used)
+        return LineSearchResult(j, step, step / gnorm, candidates[j], float(fvals[j]))
+    return LineSearchResult(None, 0.0, 0.0, x, float(f_x))
 
 
 def sigma_update(sigma_prev: float, step: float) -> float:
@@ -161,62 +197,42 @@ def random_rotation(d: int, rng: np.random.Generator) -> Frame:
     return Frame(haar_rotation(d, rng))
 
 
-def _explore(state: OptimizerState, cfg: AdaDgsConfig) -> tuple[Frame, float, int]:
-    frame = random_rotation(state.x.shape[0], state.rng)
-    return frame, cfg.sigma0, state.t
-
-
 def adadgs_step(F, state: OptimizerState, cfg: AdaDgsConfig) -> OptimizerState:
     """Advance the optimizer by one iteration (gradient + line search)."""
     rule = gauss_hermite_rule(cfg.M)
     grad = dgs_gradient(F, state.x, state.frame, state.sigma, rule,
                         skip_zero_node=cfg.skip_zero_node)
-    evals = state.evals + grad.evals_used
 
-    gnorm = float(np.linalg.norm(grad.vector))
-    if gnorm <= DEGENERATE_NORM:
-        # no usable direction: re-randomize the frame and reset the radius
-        # (subject to the same minimum interval as the gamma trigger)
-        if state.t - state.last_reset_t >= cfg.reset_interval:
-            frame, sigma, last_reset = _explore(state, cfg)
-        else:
-            frame, sigma, last_reset = state.frame, state.sigma, state.last_reset_t
-        return dataclasses.replace(
-            state, frame=frame, sigma=sigma, t=state.t + 1, evals=evals,
-            last_reset_t=last_reset, last_step=0.0,
-        )
-
-    ls = line_search(F, state.x, grad.vector, cfg.L_max, cfg.L_min, cfg.S,
-                     f_x=state.f_current)
-    evals += ls.evals_used
-
-    step = ls.step_distance if cfg.radius_update_uses == "distance" else ls.lam
-    sigma = sigma_update(state.sigma, step)
-    frame = state.frame
-    last_reset = state.last_reset_t
-
-    rel_change = abs(ls.f_new - state.f_current) / max(abs(state.f_current), 1e-12)
-    if rel_change < cfg.gamma and state.t - state.last_reset_t >= cfg.reset_interval:
-        frame, sigma, last_reset = _explore(state, cfg)
-
-    if ls.f_new < state.f_best:
-        f_best, x_best = ls.f_new, ls.x_new
+    if float(np.linalg.norm(grad.vector)) <= DEGENERATE_NORM:
+        # no usable direction: stay put, and explore as if stalled
+        ls = LineSearchResult(None, 0.0, 0.0, state.x, state.f_current)
+        sigma, stalled = state.sigma, True
     else:
-        f_best, x_best = state.f_best, state.x_best
+        ls = line_search(F, state.x, grad.vector, cfg.L_max, cfg.L_min, cfg.S,
+                         f_x=state.f_current)
+        step = ls.step_distance if cfg.radius_update_uses == "distance" else ls.lam
+        sigma = sigma_update(state.sigma, step)
+        rel_change = abs(ls.f_new - state.f_current) / max(abs(state.f_current), 1e-12)
+        stalled = rel_change < cfg.gamma
+
+    frame, last_reset = state.frame, state.last_reset_t
+    if stalled and state.t - state.last_reset_t >= cfg.reset_interval:
+        # re-randomize the frame and reset the radius
+        frame = random_rotation(state.x.shape[0], state.rng)
+        sigma, last_reset = cfg.sigma0, state.t
 
     return dataclasses.replace(
-        state, x=ls.x_new, sigma=sigma, frame=frame, t=state.t + 1, evals=evals,
-        f_current=ls.f_new, f_best=f_best, x_best=x_best,
-        last_reset_t=last_reset, last_step=ls.step_distance,
+        state, x=ls.x_new, sigma=sigma, frame=frame, t=state.t + 1,
+        f_current=ls.f_new, last_reset_t=last_reset, last_step=ls.step_distance,
     )
 
 
 def adadgs_minimize(F, x0, cfg: AdaDgsConfig) -> tuple[np.ndarray, float, Trace]:
     """Run the adaptive DGS loop until the iteration or evaluation cap.
 
-    The trace holds the initial state plus one row per completed
-    iteration; an iteration is only started if its full evaluation cost
-    (stencil + line search) fits in the remaining budget.
+    The step is `adadgs_step`, driven by `drive`; an iteration is only
+    started if its full evaluation cost (stencil + line search) fits in
+    the remaining budget.
     """
     x0 = np.asarray(x0, float)
     if not np.all(np.isfinite(x0)):
@@ -227,21 +243,13 @@ def adadgs_minimize(F, x0, cfg: AdaDgsConfig) -> tuple[np.ndarray, float, Trace]
     frame = Frame.identity(d) if cfg.initial_frame == "identity" else \
         random_rotation(d, rng)
 
-    f0 = float(F(x0))
-    state = OptimizerState(
-        x=x0, sigma=cfg.sigma0, frame=frame, t=0, evals=1, f_current=f0,
-        f_best=f0, x_best=x0, last_reset_t=_NEVER_RESET, rng=rng,
-    )
-    trace = Trace()
-    trace.append(0, state.evals, f0, f0, state.sigma, 0.0)
+    def iterations(x, f0):
+        state = OptimizerState(x=x, sigma=cfg.sigma0, frame=frame, t=0, f_current=f0,
+                               last_reset_t=_NEVER_RESET, rng=rng)
+        while True:
+            state = adadgs_step(F, state, cfg)
+            yield Iterate(state.f_current, state.sigma, state.last_step,
+                          state.x, state.f_current)
 
-    step_cost = cfg.stencil_size(d) + cfg.S
-    while True:
-        if cfg.T_max is not None and state.t >= cfg.T_max:
-            break
-        if cfg.budget is not None and state.evals + step_cost > cfg.budget:
-            break
-        state = adadgs_step(F, state, cfg)
-        trace.append(state.t, state.evals, state.f_current, state.f_best,
-                     state.sigma, state.last_step)
-    return state.x_best, state.f_best, trace
+    return drive(F, x0, cfg.sigma0, iterations, cfg.stencil_size(d) + cfg.S,
+                 cfg.T_max, cfg.budget)

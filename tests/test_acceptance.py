@@ -11,6 +11,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401 (parallel check below)
 
 import numpy as np
+import pytest
 
 from adadgs.benchmarks import BENCHMARKS, Objective, make_benchmark, optimum_value
 from adadgs.gradient import Frame, dgs_gradient
@@ -145,6 +146,7 @@ def _median_final(tmp_path, function, optimizer, dim=100, budget=300_000,
     return run_experiment(spec)["final"]["median_f_best"]
 
 
+@pytest.mark.slow
 def test_criterion_5_multimodal_contrast(tmp_path):
     t0 = time.perf_counter()
     medians = {}
@@ -169,6 +171,7 @@ def test_criterion_5_multimodal_contrast(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_dimension_scaling(tmp_path):
     t0 = time.perf_counter()
     ratios = {}
@@ -176,7 +179,7 @@ def test_criterion_6_dimension_scaling(tmp_path):
         spec = ExperimentSpec(
             function="ackley", dim=d, optimizer="adadgs", budget=3000 * d,
             trials=5, seed=0, out_dir=str(tmp_path / str(d)),
-            adadgs=preset("paper-scaling"),
+            adadgs=preset("paper-1000d"),
         )
         run_experiment(spec)
         per_trial = []

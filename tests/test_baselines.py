@@ -9,6 +9,7 @@ from adadgs.baselines import (
     nesterov_minimize,
 )
 from adadgs.benchmarks import Objective, make_benchmark
+from adadgs.errors import EvaluationError
 
 
 def sphere(d, width=10.0):
@@ -124,7 +125,7 @@ def test_fd_gradient_matches_analytic():
     F = Objective(lambda X: 0.5 * np.einsum("ni,ij,nj->n", X, A, X), d, (-5, 5))
     x = rng.normal(size=d)
     g = fd_gradient(F, x, h=1e-5)
-    np.testing.assert_allclose(g, A @ x, rtol=1e-6)
+    np.testing.assert_allclose(g.vector, A @ x, rtol=1e-6)
     assert F.evals == 2 * d
 
 
@@ -153,6 +154,24 @@ def test_fd_eval_accounting():
     rows = list(trace)
     assert [r.evals for r in rows] == [1 + 10 * k for k in range(7)]
     assert F.evals == rows[-1].evals
+
+
+# --- non-finite objective values --------------------------------------------
+
+
+@pytest.mark.parametrize("run,cfg", [
+    (es_bpop_minimize, BaselineConfig("es_bpop", 0.1, 0.1, population=10, T_max=3)),
+    (nesterov_minimize, BaselineConfig("nesterov", 0.1, 1e-3, T_max=3)),
+    (fd_minimize, BaselineConfig("fd", 0.1, 1e-3, T_max=3)),
+])
+@pytest.mark.parametrize("finite_at_start", [False, True])
+def test_all_nan_objective_raises(run, cfg, finite_at_start):
+    # NaN everywhere, or everywhere but the start point, so that the
+    # gradient samples are what raises
+    F = Objective(lambda X: np.where(np.all(X == 1.0, axis=1) & finite_at_start,
+                                     3.0, np.nan), 3, (-1, 1))
+    with pytest.raises(EvaluationError):
+        run(F, np.ones(3), cfg)
 
 
 # --- config ----------------------------------------------------------------

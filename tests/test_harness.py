@@ -98,7 +98,7 @@ def test_budget_accounting_all_optimizers():
     for opt in ("adadgs", "es_bpop", "nesterov", "fd"):
         spec = ExperimentSpec(function="ackley", dim=4, optimizer=opt,
                               budget=300, trials=1, seed=1, out_dir="unused")
-        trace = run_trial(spec, 0)  # raises internally on any mismatch
+        trace = run_trial(spec, 0)
         assert trace.final.evals <= 300
 
 
@@ -119,11 +119,6 @@ def test_preset_paper_1000d():
     assert cfg.S == 200
     assert cfg.contraction == 0.9
     assert cfg.sigma0_scale == 5.0
-
-
-def test_preset_scaling_matches_1000d():
-    # the scaling runs reuse the same hyper-parameters at any dimension
-    assert preset("paper-scaling") == preset("paper-1000d")
 
 
 def test_preset_unknown():

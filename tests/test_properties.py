@@ -13,6 +13,7 @@ from adadgs.gradient import Frame, dgs_stencil
 from adadgs.optimizer import (
     AdaDgsConfig,
     adadgs_minimize,
+    line_search,
     random_rotation,
     sigma_update,
 )
@@ -108,11 +109,36 @@ def test_stencil_shape_and_membership(d, m, seed):
     expected = (m - 1) * d if m % 2 == 1 else m * d
     assert st_pts.points.shape == (expected, d)
     assert np.all(np.isfinite(st_pts.points))
-    # every stencil point lies on the line x + t * xi_i for its direction
-    for p, i in zip(st_pts.points, st_pts.dir_index):
+    # every stencil point lies on the line x + t * xi_i for its direction,
+    # which is its row index divided by the points per direction
+    per_dir = expected // d
+    for row, p in enumerate(st_pts.points):
+        i = row // per_dir
         delta = p - x
         off_axis = delta - (delta @ frame.matrix[i]) * frame.matrix[i]
         assert np.max(np.abs(off_axis)) < 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=dims, seed=seeds, cut=st.floats(min_value=0.1, max_value=100.0),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), S=st.integers(2, 30))
+def test_line_search_never_loses_to_a_finite_candidate(d, seed, cut, bad, S):
+    # the objective turns non-finite beyond a radius; the search result must
+    # still be no worse than the incumbent and than every finite candidate
+    plain = quadratic(d, seed)
+    F = Objective(lambda X: np.where(np.sum(X**2, axis=1) > cut, bad, plain.fn(X)),
+                  d, (-10, 10))
+    rng = np.random.default_rng(seed)
+    x, g = rng.uniform(-3, 3, d), rng.normal(size=d)
+    f_x = float(plain(x))
+    res = line_search(F, x, g, 8.0, 0.01, S, f_x=f_x)
+    rho = (0.01 / 8.0) ** (1.0 / (S - 1))
+    ghat = g / np.linalg.norm(g)
+    vals = F.fn(x[None, :] - (8.0 * rho ** np.arange(S))[:, None] * ghat[None, :])
+    finite = vals[np.isfinite(vals)]
+    assert np.isfinite(res.f_new) and res.f_new <= f_x
+    if finite.size:
+        assert res.f_new <= finite.min()
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adadgs.benchmarks import subprocess_objective
+from adadgs.benchmarks import SubprocessObjective
 from adadgs.errors import EvaluationError
 from adadgs.optimizer import AdaDgsConfig, adadgs_minimize
 
@@ -12,8 +12,8 @@ HELPER = Path(__file__).parent / "helpers" / "echo_sphere.py"
 
 
 def spawn(mode="ok", d=2, timeout=10.0):
-    return subprocess_objective([sys.executable, str(HELPER), mode], d,
-                                bounds=(-10.0, 10.0), timeout=timeout)
+    return SubprocessObjective([sys.executable, str(HELPER), mode], d,
+                               bounds=(-10.0, 10.0), timeout=timeout)
 
 
 def test_echo_sphere_value():
