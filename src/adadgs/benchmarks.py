@@ -11,19 +11,37 @@ from __future__ import annotations
 import select
 import shlex
 import subprocess
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import EvaluationError
 
 
+class Lines(NamedTuple):
+    """A structured batch: the k*m points origin + offsets[j] * directions[i],
+    direction-major (row i*m + j), for k directions and m offsets."""
+
+    origin: np.ndarray  # shape (d,)
+    directions: np.ndarray  # shape (k, d)
+    offsets: np.ndarray  # shape (m,)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The batch as a (k*m, d) array of points."""
+        steps = self.offsets[None, :, None] * self.directions[:, None, :]
+        return (self.origin + steps).reshape(-1, self.origin.shape[0])
+
+
 class Objective:
     """A counted black-box loss function with an initial search domain.
 
-    Accepts a single point of shape (d,) or a batch of shape (n, d); the
-    evaluation counter increments by the number of points evaluated.
+    Accepts a single point of shape (d,), a batch of shape (n, d), or a
+    `Lines` batch; the evaluation counter increments by the number of
+    points evaluated. A `Lines` batch goes to `_eval_lines`, which builds
+    its points and calls `fn`; a subclass may override that hook to use
+    the batch's structure.
     """
 
     def __init__(
@@ -42,6 +60,16 @@ class Objective:
         self._count = 0
 
     def __call__(self, x):
+        if isinstance(x, Lines):
+            lines = Lines(*(np.asarray(a, float) for a in x))
+            origin, directions, offsets = lines
+            if (origin.shape != (self.dim,) or directions.ndim != 2
+                    or directions.shape[1] != self.dim or offsets.ndim != 1):
+                raise ValueError(
+                    f"expected lines of dim {self.dim}, got origin {origin.shape}, "
+                    f"directions {directions.shape}, offsets {offsets.shape}")
+            self._count += directions.shape[0] * offsets.shape[0]
+            return np.asarray(self._eval_lines(lines), float)
         x = np.asarray(x, float)
         if x.ndim == 1:
             if x.shape[0] != self.dim:
@@ -52,6 +80,9 @@ class Objective:
             raise ValueError(f"expected shape (n, {self.dim}), got {x.shape}")
         self._count += x.shape[0]
         return np.asarray(self.fn(x), float)
+
+    def _eval_lines(self, lines: Lines) -> np.ndarray:
+        return self.fn(lines.points)
 
     @property
     def evals(self) -> int:
@@ -184,22 +215,48 @@ def eval_base(name: str, z) -> float | np.ndarray:
     return BENCHMARKS[name].fn(z)
 
 
+def _to_base(X: np.ndarray, rotation, x_opt, z_star: float) -> np.ndarray:
+    """Base-function coordinates R(x - x_opt) + z_star of x, or of each row of X."""
+    Z = (X - x_opt) @ rotation.T
+    return Z + z_star if z_star != 0.0 else Z
+
+
 class TransformedBenchmark(Objective):
-    """A rotated and shifted benchmark with its optimum at x_opt."""
+    """A rotated and shifted benchmark with its optimum at x_opt.
+
+    A `Lines` batch is evaluated in rotated coordinates, as
+    z0 + offsets[j] * W[i] with z0 = R(origin - x_opt) + z_star and
+    W = directions R^T, so no point array is built and the rotation costs
+    k*d*d instead of k*m*d*d. W is kept for the last directions array that
+    is read-only and owns its data (a `Frame`'s matrix), matched by
+    identity, so a frame is rotated once however often it is used.
+    """
 
     def __init__(self, name: str, rotation: np.ndarray, x_opt: np.ndarray):
         info = BENCHMARKS[name]
-        d = len(x_opt)
         self.rotation = np.asarray(rotation, float)
         self.x_opt = np.asarray(x_opt, float)
+        self._info = info
+        self._rotated = (None, None)  # (directions, directions @ R^T)
 
-        def fn(X, _info=info, _R=self.rotation, _xo=self.x_opt, _zs=info.z_star):
-            Z = (X - _xo) @ _R.T
-            if _zs != 0.0:
-                Z = Z + _zs
-            return _info.fn(Z)
+        # fn must not refer to self: the cycle would keep each benchmark's
+        # d x d arrays alive until the cyclic garbage collector runs
+        def fn(X, _info=info, _R=self.rotation, _xo=self.x_opt):
+            return _info.fn(_to_base(X, _R, _xo, _info.z_star))
 
-        super().__init__(fn, d, (info.lower, info.upper), label=name)
+        super().__init__(fn, len(x_opt), (info.lower, info.upper), label=name)
+
+    def _eval_lines(self, lines: Lines) -> np.ndarray:
+        origin, directions, offsets = lines
+        cached, W = self._rotated
+        if cached is not directions:
+            W = directions @ self.rotation.T
+            # a read-only array that owns its data cannot change under the cache
+            if not directions.flags.writeable and directions.base is None:
+                self._rotated = (directions, W)
+        Z = offsets[None, :, None] * W[:, None, :]
+        Z += _to_base(origin, self.rotation, self.x_opt, self._info.z_star)
+        return self._info.fn(Z.reshape(-1, self.dim))
 
 
 def make_benchmark(name: str, d: int, seed) -> TransformedBenchmark:

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .benchmarks import Lines
 from .errors import EvaluationError
 from .quadrature import QuadratureRule
 
@@ -25,9 +26,18 @@ SQRT_PI = np.sqrt(np.pi)
 
 @dataclass(frozen=True)
 class Frame:
-    """Orthonormal direction system; row i of `matrix` is direction xi_i."""
+    """Orthonormal direction system; row i of `matrix` is direction xi_i.
+
+    `matrix` is a read-only copy, so an objective may key work it derives
+    from the directions on the array itself.
+    """
 
     matrix: np.ndarray
+
+    def __post_init__(self):
+        matrix = np.array(self.matrix, float)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
@@ -61,11 +71,16 @@ class SampledGradient(NamedTuple):
 
 
 class Stencil(NamedTuple):
-    """Sample points, direction-major: row i*k + m lies on direction xi_i at
-    quadrature node node_index[m], for the k nodes kept."""
+    """Sample points, direction-major: point i*k + m lies on direction xi_i
+    at quadrature node node_index[m], for the k nodes kept."""
 
-    points: np.ndarray  # shape (d*k, d)
+    lines: Lines  # origin x, the frame's directions, offsets sqrt(2) sigma v_m
     node_index: np.ndarray  # shape (k,)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The stencil as a (d*k, d) array, built on each access."""
+        return self.lines.points
 
 
 def finite_samples(values) -> np.ndarray:
@@ -90,7 +105,8 @@ def dgs_stencil(
     rule: QuadratureRule,
     skip_zero_node: bool = True,
 ) -> Stencil:
-    """Sample locations x + sqrt(2) sigma v_m xi_i for all (i, m).
+    """Sample locations x + sqrt(2) sigma v_m xi_i for all (i, m), as one
+    `Lines` batch along the frame's directions; no point array is built.
 
     Zero nodes contribute nothing to the quadrature sum (their summand is
     multiplied by v_m = 0), so they are omitted when skip_zero_node is set.
@@ -106,9 +122,8 @@ def dgs_stencil(
     nodes = rule.nodes
     keep = nodes != 0.0 if skip_zero_node else np.ones(rule.order, dtype=bool)
     node_index = np.nonzero(keep)[0]
-    scale = SQRT2 * sigma * nodes[node_index]
-    offsets = scale[None, :, None] * frame.matrix[:, None, :]  # (d, k, d)
-    return Stencil(points=(x + offsets).reshape(-1, x.shape[0]), node_index=node_index)
+    offsets = SQRT2 * sigma * nodes[node_index]
+    return Stencil(Lines(x, frame.matrix, offsets), node_index)
 
 
 def directional_derivative(
@@ -142,7 +157,7 @@ def dgs_gradient(
 ) -> DgsGradient:
     """Evaluate the full DGS gradient surrogate at x (batched stencil)."""
     stencil = dgs_stencil(x, frame, sigma, rule, skip_zero_node=skip_zero_node)
-    values = finite_samples(F(stencil.points))
+    values = finite_samples(F(stencil.lines))
     full = np.zeros((frame.dim, rule.order))
     full[:, stencil.node_index] = values.reshape(frame.dim, -1)
     directional = directional_derivative(full, sigma, rule)

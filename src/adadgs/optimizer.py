@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .benchmarks import Objective, haar_rotation
+from .benchmarks import Lines, Objective, haar_rotation
 from .gradient import Frame, dgs_gradient, finite_samples
 from .quadrature import gauss_hermite_rule
 from .trace import Trace
@@ -154,6 +154,13 @@ class LineSearchResult(NamedTuple):
     f_new: float
 
 
+def gradient_norm(g) -> float:
+    """||g||, inf when it overflows (no warning is raised); a g whose norm
+    is not finite, or at most DEGENERATE_NORM, gives no usable direction."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(g))
+
+
 def line_search(F, x, g, L_max, L_min, S, f_x) -> LineSearchResult:
     """Exhaustive log-spaced line search along -g.
 
@@ -161,25 +168,25 @@ def line_search(F, x, g, L_max, L_min, S, f_x) -> LineSearchResult:
     rho = (L_min/L_max)^(1/(S-1)). The incumbent x, of value f_x, competes:
     a candidate must strictly improve on f_x to win, so the result never
     worsens. Ties between candidates go to the smaller j (the longer step).
-    A non-finite candidate value ranks as +inf, so it never wins.
+    A non-finite candidate value ranks as +inf, so it never wins. The
+    candidates go to F as one `Lines` batch along ghat.
     """
     x = np.asarray(x, float)
     g = np.asarray(g, float)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= DEGENERATE_NORM:
+    gnorm = gradient_norm(g)
+    if not DEGENERATE_NORM < gnorm < np.inf:
         raise ValueError(f"degenerate gradient: ||g|| = {gnorm:.3e}")
 
     rho = (L_min / L_max) ** (1.0 / (S - 1))
     steps = L_max * rho ** np.arange(S)
     ghat = g / gnorm
-    candidates = x[None, :] - steps[:, None] * ghat[None, :]
-    fvals = np.asarray(F(candidates), float)
+    fvals = F(Lines(x, ghat[None, :], -steps))
     fvals = np.where(np.isfinite(fvals), fvals, np.inf)
 
     j = int(np.argmin(fvals))  # first minimum: smallest j wins ties
     if fvals[j] < f_x:
         step = float(steps[j])
-        return LineSearchResult(j, step, step / gnorm, candidates[j], float(fvals[j]))
+        return LineSearchResult(j, step, step / gnorm, x - steps[j] * ghat, float(fvals[j]))
     return LineSearchResult(None, 0.0, 0.0, x, float(f_x))
 
 
@@ -203,7 +210,7 @@ def adadgs_step(F, state: OptimizerState, cfg: AdaDgsConfig) -> OptimizerState:
     grad = dgs_gradient(F, state.x, state.frame, state.sigma, rule,
                         skip_zero_node=cfg.skip_zero_node)
 
-    if float(np.linalg.norm(grad.vector)) <= DEGENERATE_NORM:
+    if not DEGENERATE_NORM < gradient_norm(grad.vector) < np.inf:
         # no usable direction: stay put, and explore as if stalled
         ls = LineSearchResult(None, 0.0, 0.0, state.x, state.f_current)
         sigma, stalled = state.sigma, True

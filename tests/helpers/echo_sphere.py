@@ -6,6 +6,9 @@ Modes (argv[1], default "ok"):
   bad-handshake - reply "NOPE" to the handshake
   err           - reply "ERR simulated failure" to evaluation requests
   hang          - never reply to evaluation requests
+
+When argv[2] names a file, the number of evaluations answered is written
+to it once stdin closes.
 """
 
 import sys
@@ -15,6 +18,7 @@ import time
 def main() -> int:
     mode = sys.argv[1] if len(sys.argv) > 1 else "ok"
     dim = None
+    count = 0
     for line in sys.stdin:
         parts = line.split()
         if not parts:
@@ -35,7 +39,11 @@ def main() -> int:
             if dim is not None and len(xs) != dim:
                 print(f"ERR expected {dim} coordinates, got {len(xs)}", flush=True)
                 continue
+            count += 1
             print(repr(sum(v * v for v in xs)), flush=True)
+    if len(sys.argv) > 2:
+        with open(sys.argv[2], "w") as fh:
+            fh.write(f"{count}\n")
     return 0
 
 

@@ -1,14 +1,20 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from adadgs.benchmarks import (
     BENCHMARKS,
+    Lines,
     Objective,
     TransformedBenchmark,
     eval_base,
+    haar_rotation,
     make_benchmark,
     optimum_value,
 )
+from adadgs.gradient import Frame
 
 DOMAINS = {
     "ackley": (-32.768, 32.768),
@@ -204,3 +210,111 @@ def test_objective_domain_helpers():
     F = Objective(lambda X: X[:, 0], 4, (-2.0, 6.0))
     assert F.domain_width == 8.0
     assert F.domain_diagonal == pytest.approx(8.0 * 2.0)
+
+
+# --- structured (Lines) batches -----------------------------------------------
+
+
+def stencil_and_line_search_batches(b, rng):
+    """A stencil-shaped batch (the d frame directions, 4 offsets) and a
+    line-search-shaped one (1 writable direction, 20 offsets)."""
+    d = b.dim
+    origin = rng.uniform(b.lower, b.upper)
+    frame = Frame(haar_rotation(d, rng))
+    ghat = rng.standard_normal(d)
+    ghat /= np.linalg.norm(ghat)
+    return (Lines(origin, frame.matrix, rng.uniform(-3.0, 3.0, 4)),
+            Lines(origin, ghat[None, :], -np.geomspace(50.0, 0.1, 20)))
+
+
+def test_lines_points_are_direction_major():
+    lines = Lines(np.array([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 1.0]]),
+                  np.array([-1.0, 3.0]))
+    np.testing.assert_array_equal(lines.points,
+                                  [[0.0, 2.0], [4.0, 2.0], [1.0, 1.0], [1.0, 5.0]])
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_lines_fast_path_matches_materialized(name):
+    # the rotated-coordinates evaluation differs from rotating each point
+    # only by rounding, including for base functions with z_star != 0
+    rng = np.random.default_rng(5)
+    b = make_benchmark(name, 30, 2)
+    for _ in range(3):
+        for lines in stencil_and_line_search_batches(b, rng):
+            fast = b(lines)
+            slow = b(lines.points)
+            assert fast.shape == slow.shape == (len(lines.directions) * len(lines.offsets),)
+            np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+
+
+def test_lines_count_every_point():
+    rng = np.random.default_rng(6)
+    for F in (make_benchmark("ackley", 12, 0),
+              Objective(lambda X: np.sum(X**2, axis=1), 12, (-1.0, 1.0))):
+        stencil, search = stencil_and_line_search_batches(F, rng)
+        F(stencil)
+        assert F.evals == 12 * 4
+        F(search)
+        assert F.evals == 12 * 4 + 20
+
+
+def test_lines_default_path_is_the_materialized_batch():
+    F = Objective(lambda X: np.sum(X**2, axis=1), 6, (-1.0, 1.0))
+    stencil, search = stencil_and_line_search_batches(F, np.random.default_rng(7))
+    for lines in (stencil, search):
+        assert np.array_equal(F(lines), F(lines.points))
+
+
+def test_lines_shape_validation():
+    b = make_benchmark("ackley", 4, 0)
+    with pytest.raises(ValueError):
+        b(Lines(np.zeros(5), np.eye(4), np.ones(2)))
+    with pytest.raises(ValueError):
+        b(Lines(np.zeros(4), np.ones(4), np.ones(2)))
+    with pytest.raises(ValueError):
+        b(Lines(np.zeros(4), np.eye(4), np.ones((2, 1))))
+    assert b.evals == 0
+
+
+def test_new_frame_gets_new_rotated_directions():
+    rng = np.random.default_rng(8)
+    b = make_benchmark("rastrigin", 10, 1)
+    origin, offsets = rng.uniform(-1, 1, 10), np.array([-0.5, 0.5])
+    for _ in range(3):
+        frame = Frame(haar_rotation(10, rng))
+        lines = Lines(origin, frame.matrix, offsets)
+        np.testing.assert_allclose(b(lines), b(lines.points), rtol=1e-12)
+        assert b._rotated[0] is frame.matrix
+
+
+def test_writable_directions_are_never_cached():
+    rng = np.random.default_rng(9)
+    b = make_benchmark("ellipsoidal", 8, 3)
+    frame = Frame(haar_rotation(8, rng))
+    origin, offsets = rng.uniform(-1, 1, 8), np.array([-1.0, 1.0])
+    b(Lines(origin, frame.matrix, offsets))
+    directions = rng.standard_normal((2, 8))
+    view = directions.view()
+    view.flags.writeable = False  # read-only, but its data can still change
+    for D in (directions, view):
+        b(Lines(origin, D, offsets))
+        directions *= 2.0  # a cached W would now be stale
+        lines = Lines(origin, D, offsets)
+        np.testing.assert_allclose(b(lines), b(lines.points), rtol=1e-12)
+        # the frame's entry is neither replaced nor evicted
+        assert b._rotated[0] is frame.matrix
+
+
+def test_benchmark_is_freed_without_the_cycle_collector():
+    # a reference cycle would keep the rotation, the cached frame and its
+    # rotated directions (3 d x d arrays) alive until the collector runs
+    b = make_benchmark("ackley", 6, 0)
+    b(Lines(np.zeros(6), Frame.identity(6).matrix, np.array([-1.0, 1.0])))
+    ref = weakref.ref(b)
+    gc.disable()
+    try:
+        del b
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -30,6 +30,25 @@ def linear_objective(c):
 # --- stencil ---------------------------------------------------------------
 
 
+def test_frame_matrix_is_a_read_only_copy():
+    M = np.eye(3)
+    frame = Frame(M)
+    with pytest.raises(ValueError):
+        frame.matrix[0, 0] = 2.0
+    M[0, 0] = 2.0  # the caller's array stays writable and apart
+    assert frame.matrix[0, 0] == 1.0
+
+
+def test_stencil_is_one_lines_batch_along_the_frame():
+    rule = gauss_hermite_rule(5)
+    frame = Frame(haar_rotation(3, np.random.default_rng(1)))
+    x = np.array([0.5, -1.0, 2.0])
+    st = dgs_stencil(x, frame, 0.7, rule)
+    assert st.lines.origin is x and st.lines.directions is frame.matrix
+    np.testing.assert_array_equal(st.lines.offsets, np.sqrt(2.0) * 0.7 * rule.nodes[st.node_index])
+    assert np.array_equal(st.points, st.lines.points)
+
+
 def test_stencil_counts_skip():
     rule = gauss_hermite_rule(3)
     st = dgs_stencil(np.zeros(2), Frame.identity(2), 1.0, rule, skip_zero_node=True)

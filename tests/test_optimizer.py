@@ -94,6 +94,14 @@ def test_line_search_degenerate_gradient():
         line_search(F, np.zeros(2), np.full(2, 1e-14), 1.0, 0.01, 12, f_x=0.0)
 
 
+def test_line_search_rejects_overflowing_norm():
+    # ||g||^2 = 2e400 overflows: g/||g|| would be 0 and every candidate x
+    F = sphere(2)
+    with pytest.raises(ValueError, match="degenerate"):
+        line_search(F, np.zeros(2), np.full(2, 1e200), 1.0, 0.01, 12, f_x=0.0)
+    assert F.evals == 0
+
+
 def test_line_search_dominance_and_lambda_identity():
     rng = np.random.default_rng(2)
     F = Objective(lambda X: np.cos(X).sum(axis=1) + 0.05 * (X**2).sum(axis=1),
@@ -244,6 +252,21 @@ def test_degenerate_gradient_explores_without_moving():
     assert new.sigma == cfg.sigma0
     assert not np.array_equal(new.frame.matrix, np.eye(3))
     # only the stencil was evaluated; the line search was skipped
+    assert F.evals - evals_before == cfg.stencil_size(3)
+
+
+def test_overflowing_gradient_norm_is_degenerate():
+    # every sample is finite and g = (1e160, 1e160, 1e160), but ||g||^2 =
+    # 3e320 overflows: the step must take the degenerate path, not run a
+    # line search along g/inf = 0
+    F = Objective(lambda X: 1e160 * np.sum(X, axis=1), 3, (-1, 1))
+    cfg = resolved(F, gamma=0.0)
+    state = make_state(np.ones(3), cfg.sigma0, F)
+    evals_before = F.evals
+    new = adadgs_step(F, state, cfg)
+    assert np.array_equal(new.x, state.x)
+    assert new.sigma == cfg.sigma0
+    assert new.last_reset_t == state.t
     assert F.evals - evals_before == cfg.stencil_size(3)
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adadgs.benchmarks import SubprocessObjective
+from adadgs.benchmarks import Lines, SubprocessObjective
 from adadgs.errors import EvaluationError
 from adadgs.optimizer import AdaDgsConfig, adadgs_minimize
 
@@ -28,6 +28,17 @@ def test_batch_and_roundtrip_precision():
         got = F(X)
         np.testing.assert_array_equal(got, np.sum(X**2, axis=1))
         assert F.evals == 2
+
+
+def test_lines_batch_counts_what_the_worker_answers(tmp_path):
+    count_file = tmp_path / "count"
+    lines = Lines(np.array([1.0, -2.0, 0.5]), np.eye(3)[:2], np.array([-0.25, 0.5, 2.0]))
+    with SubprocessObjective([sys.executable, str(HELPER), "ok", str(count_file)], 3,
+                             bounds=(-10.0, 10.0), timeout=10.0) as F:
+        got = F(lines)
+        np.testing.assert_array_equal(got, np.sum(lines.points**2, axis=1))
+        assert F.evals == 6
+    assert int(count_file.read_text()) == F.evals
 
 
 def test_garbled_response():
