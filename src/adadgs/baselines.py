@@ -19,12 +19,9 @@ import numpy as np
 from .gradient import SampledGradient, finite_samples, gs_mc_gradient
 from .optimizer import Iterate, drive
 
-METHODS = ("es_bpop", "nesterov", "fd")
-
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    method: str
     learning_rate: float
     sigma_or_h: float  # GS radius for es_bpop, difference step for nesterov/fd
     population: int | None = None  # es_bpop only; default M*d handled by caller
@@ -33,8 +30,6 @@ class BaselineConfig:
     seed: int | None = None
 
     def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown baseline method {self.method!r}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not self.sigma_or_h > 0:

@@ -2,7 +2,8 @@
 
 Configuration precedence: built-in defaults < preset < config file < CLI
 flags. The config file is INI-style with [experiment], [adadgs] and
-[baseline] sections whose keys mirror the long CLI flags.
+[baseline] sections whose keys mirror the long CLI flags; an unknown
+section or key is an error.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import sys
 from .harness import OPTIMIZERS, PRESETS, ExperimentSpec, list_functions, preset, run_experiment
 from .optimizer import AdaDgsConfig
 
-_ADADGS_FIELDS = {
-    # flag/config key -> (AdaDgsConfig field, parser)
+# flag/INI key -> (field it sets, parser); the flag is --key with "_" -> "-"
+_ADADGS_FIELDS = {  # AdaDgsConfig fields
     "gh_points": ("M", int),
     "lmax": ("L_max", float),
     "lmin": ("L_min", float),
@@ -26,16 +27,15 @@ _ADADGS_FIELDS = {
     "gamma": ("gamma", float),
     "contraction": ("contraction", float),
     "reset_interval": ("reset_interval", int),
-    "radius_update": ("radius_update_uses", str),
-    "initial_frame": ("initial_frame", str),
-    "skip_zero_node": ("skip_zero_node", lambda s: str(s).lower() in ("1", "true", "yes")),
 }
-
-_BASELINE_FIELDS = {
-    "learning_rate": float,
-    "sigma_or_h": float,
-    "population": int,
+_BASELINE_FIELDS = {  # BaselineConfig fields, kept as ExperimentSpec.baseline_overrides
+    "learning_rate": ("learning_rate", float),
+    "sigma_or_h": ("sigma_or_h", float),
+    "population": ("population", int),
 }
+_EXPERIMENT_KEYS = ("func", "dim", "optimizer", "trials", "budget", "seed", "out", "preset")
+_SECTIONS = {"experiment": _EXPERIMENT_KEYS, "adadgs": _ADADGS_FIELDS,
+             "baseline": _BASELINE_FIELDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,26 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output directory")
     run.add_argument("--config", help="INI config file; CLI flags override it")
     run.add_argument("--preset", choices=PRESETS)
-    grp = run.add_argument_group("adadgs options")
-    grp.add_argument("--gh-points", type=int, dest="gh_points")
-    grp.add_argument("--lmax", type=float)
-    grp.add_argument("--lmin", type=float)
-    grp.add_argument("--line-points", type=int, dest="line_points")
-    grp.add_argument("--sigma0", type=float)
-    grp.add_argument("--sigma0-scale", type=float, dest="sigma0_scale")
-    grp.add_argument("--gamma", type=float)
-    grp.add_argument("--contraction", type=float)
-    grp.add_argument("--reset-interval", type=int, dest="reset_interval")
-    grp.add_argument("--radius-update", choices=("distance", "learning_rate"),
-                     dest="radius_update")
-    grp.add_argument("--initial-frame", choices=("identity", "random"),
-                     dest="initial_frame")
-    grp.add_argument("--skip-zero-node", dest="skip_zero_node",
-                     choices=("true", "false"))
-    bl = run.add_argument_group("baseline options")
-    bl.add_argument("--learning-rate", type=float, dest="learning_rate")
-    bl.add_argument("--sigma-or-h", type=float, dest="sigma_or_h")
-    bl.add_argument("--population", type=int)
+    for section in ("adadgs", "baseline"):
+        group = run.add_argument_group(f"{section} options")
+        for key, (fld, parse) in _SECTIONS[section].items():
+            group.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
+                               help=f"sets {fld}")
 
     sub.add_parser("list", help="list benchmark functions")
     sub.add_parser("presets", help="list hyper-parameter presets")
@@ -82,52 +67,46 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ValueError(f"{path}: unknown section [{section}]; "
+                             f"expected one of {', '.join(_SECTIONS)}")
+        for key in parser[section]:
+            if key not in _SECTIONS[section]:
+                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
     return {section: dict(parser[section]) for section in parser.sections()}
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     file_cfg = _read_config_file(args.config) if args.config else {}
-    exp_file = file_cfg.get("experiment", {})
-    ada_file = file_cfg.get("adadgs", {})
-    base_file = file_cfg.get("baseline", {})
 
-    def pick(key, parse, file_section, required=False, default=None):
+    def pick(key, parse, section="experiment", required=False, default=None):
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             return parse(cli_val)
-        if key in file_section:
-            return parse(file_section[key])
+        if key in file_cfg.get(section, {}):
+            return parse(file_cfg[section][key])
         if required:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
         return default
 
-    preset_name = pick("preset", str, exp_file)
+    def given(section):
+        picked = {fld: pick(key, parse, section)
+                  for key, (fld, parse) in _SECTIONS[section].items()}
+        return {fld: val for fld, val in picked.items() if val is not None}
+
+    preset_name = pick("preset", str)
     ada_cfg = preset(preset_name) if preset_name else AdaDgsConfig()
-
-    overrides = {}
-    for key, (fld, parse) in _ADADGS_FIELDS.items():
-        val = pick(key, parse, ada_file)
-        if val is not None:
-            overrides[fld] = val
-    if overrides:
-        ada_cfg = dataclasses.replace(ada_cfg, **overrides)
-
-    baseline = {}
-    for key, parse in _BASELINE_FIELDS.items():
-        val = pick(key, parse, base_file)
-        if val is not None:
-            baseline[key] = val
-
     return ExperimentSpec(
-        function=pick("func", str, exp_file, required=True),
-        dim=pick("dim", int, exp_file, required=True),
-        optimizer=pick("optimizer", str, exp_file, required=True),
-        budget=pick("budget", int, exp_file, required=True),
-        trials=pick("trials", int, exp_file, default=20),
-        seed=pick("seed", int, exp_file, default=0),
-        out_dir=pick("out", str, exp_file, default="results"),
-        adadgs=ada_cfg,
-        baseline_overrides=baseline,
+        function=pick("func", str, required=True),
+        dim=pick("dim", int, required=True),
+        optimizer=pick("optimizer", str, required=True),
+        budget=pick("budget", int, required=True),
+        trials=pick("trials", int, default=20),
+        seed=pick("seed", int, default=0),
+        out_dir=pick("out", str, default="results"),
+        adadgs=dataclasses.replace(ada_cfg, **given("adadgs")),
+        baseline_overrides=given("baseline"),
     )
 
 

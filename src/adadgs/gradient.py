@@ -70,19 +70,6 @@ class SampledGradient(NamedTuple):
     values: np.ndarray  # shape (n,)
 
 
-class Stencil(NamedTuple):
-    """Sample points, direction-major: point i*k + m lies on direction xi_i
-    at quadrature node node_index[m], for the k nodes kept."""
-
-    lines: Lines  # origin x, the frame's directions, offsets sqrt(2) sigma v_m
-    node_index: np.ndarray  # shape (k,)
-
-    @property
-    def points(self) -> np.ndarray:
-        """The stencil as a (d*k, d) array, built on each access."""
-        return self.lines.points
-
-
 def finite_samples(values) -> np.ndarray:
     """The one non-finite rule for objective samples that every estimator,
     and the driver's f(x0), pass through.
@@ -98,18 +85,12 @@ def finite_samples(values) -> np.ndarray:
     return values
 
 
-def dgs_stencil(
-    x: np.ndarray,
-    frame: Frame,
-    sigma: float,
-    rule: QuadratureRule,
-    skip_zero_node: bool = True,
-) -> Stencil:
-    """Sample locations x + sqrt(2) sigma v_m xi_i for all (i, m), as one
-    `Lines` batch along the frame's directions; no point array is built.
+def dgs_stencil(x: np.ndarray, frame: Frame, sigma: float, rule: QuadratureRule) -> Lines:
+    """Sample locations x + sqrt(2) sigma v_m xi_i for every direction i and
+    nonzero node v_m, as one `Lines` batch along the frame's directions
+    (direction-major); no point array is built.
 
-    Zero nodes contribute nothing to the quadrature sum (their summand is
-    multiplied by v_m = 0), so they are omitted when skip_zero_node is set.
+    A zero node's summand is multiplied by v_m = 0, so it is never sampled.
     """
     x = np.asarray(x, float)
     if not np.all(np.isfinite(x)):
@@ -118,12 +99,8 @@ def dgs_stencil(
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if frame.dim != x.shape[0]:
         raise ValueError(f"frame dim {frame.dim} != point dim {x.shape[0]}")
-
     nodes = rule.nodes
-    keep = nodes != 0.0 if skip_zero_node else np.ones(rule.order, dtype=bool)
-    node_index = np.nonzero(keep)[0]
-    offsets = SQRT2 * sigma * nodes[node_index]
-    return Stencil(Lines(x, frame.matrix, offsets), node_index)
+    return Lines(x, frame.matrix, SQRT2 * sigma * nodes[nodes != 0.0])
 
 
 def directional_derivative(
@@ -141,8 +118,8 @@ def directional_derivative(
         raise ValueError(
             f"got {values.shape[-1]} values for a rule of order {rule.order}"
         )
-    # summand for a zero node is exactly 0, so the padded sum is
-    # bit-identical with and without zero-node skipping
+    # the summand for a zero node is exactly 0, so a zero node's slot may
+    # hold 0 instead of a sample and the sum is bit-identical
     terms = rule.weights * values * (SQRT2 * rule.nodes)
     return np.sum(terms, axis=-1) / (SQRT_PI * sigma)
 
@@ -153,13 +130,11 @@ def dgs_gradient(
     frame: Frame,
     sigma: float,
     rule: QuadratureRule,
-    skip_zero_node: bool = True,
 ) -> DgsGradient:
     """Evaluate the full DGS gradient surrogate at x (batched stencil)."""
-    stencil = dgs_stencil(x, frame, sigma, rule, skip_zero_node=skip_zero_node)
-    values = finite_samples(F(stencil.lines))
+    values = finite_samples(F(dgs_stencil(x, frame, sigma, rule)))
     full = np.zeros((frame.dim, rule.order))
-    full[:, stencil.node_index] = values.reshape(frame.dim, -1)
+    full[:, rule.nodes != 0.0] = values.reshape(frame.dim, -1)
     directional = directional_derivative(full, sigma, rule)
     vector = directional @ frame.matrix
     return DgsGradient(directional=directional, vector=vector)

@@ -64,33 +64,24 @@ def trial_seeds(master_seed: int, trial: int) -> tuple[int, int, int]:
 
 
 def default_baseline_config(spec: ExperimentSpec, objective) -> BaselineConfig:
-    """Scale-aware baseline defaults; the source text specifies none."""
+    """Scale-aware baseline defaults; the source text specifies none.
+
+    An override is used as given, so an invalid one fails validation. The
+    default es_bpop population, M*d, is rounded up to even.
+    """
     width = objective.domain_width
-    over = spec.baseline_overrides
+    learning_rate, sigma_or_h = {
+        "es_bpop": (0.002 * width, 0.02 * width),
+        "nesterov": (0.001 * width, 1e-5 * width),
+        "fd": (0.001, 1e-5 * width),
+    }[spec.optimizer]
+    population = None
     if spec.optimizer == "es_bpop":
-        pop = over.get("population") or spec.adadgs.M * spec.dim
-        if pop % 2 != 0:
-            pop += 1
-        return BaselineConfig(
-            method="es_bpop",
-            learning_rate=over.get("learning_rate") or 0.002 * width,
-            sigma_or_h=over.get("sigma_or_h") or 0.02 * width,
-            population=pop,
-            budget=spec.budget,
-        )
-    if spec.optimizer == "nesterov":
-        return BaselineConfig(
-            method="nesterov",
-            learning_rate=over.get("learning_rate") or 0.001 * width,
-            sigma_or_h=over.get("sigma_or_h") or 1e-5 * width,
-            budget=spec.budget,
-        )
-    return BaselineConfig(
-        method="fd",
-        learning_rate=over.get("learning_rate") or 0.001,
-        sigma_or_h=over.get("sigma_or_h") or 1e-5 * width,
-        budget=spec.budget,
-    )
+        population = spec.adadgs.M * spec.dim
+        population += population % 2
+    settings = dict(learning_rate=learning_rate, sigma_or_h=sigma_or_h,
+                    population=population, budget=spec.budget)
+    return BaselineConfig(**{**settings, **spec.baseline_overrides})
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> Trace:
@@ -161,16 +152,22 @@ def summarize(traces: list[Trace], budget: int) -> dict:
 
 
 def n_workers() -> int:
+    """The worker count from ADADGS_WORKERS: 1 when unset, and a ValueError
+    naming the variable when it is not a positive integer."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run all trials, write per-trial CSVs plus summary and manifest."""
     spec.validate()
+    workers = n_workers()
     run_dir = spec.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
 
@@ -194,7 +191,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     jobs = [(spec, k) for k in range(spec.trials)]
     results: dict[int, str] = {}
     try:
-        workers = n_workers()
         if workers > 1 and spec.trials > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for trial, csv_text in pool.map(_run_trial_csv, jobs):

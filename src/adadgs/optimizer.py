@@ -32,9 +32,13 @@ _NEVER_RESET = -(10**9)
 class AdaDgsConfig:
     """Hyper-parameters; None fields are resolved from the objective.
 
-    L_max defaults to the search-domain diagonal, L_min to 0.005*L_max
-    (or L_max * contraction**(S-1) when a contraction factor is given),
-    S to max(12, round(0.05*M*d)), and sigma0 to the domain width.
+    M is the Gauss-Hermite order (2 to 64); a zero node, which odd M has,
+    is never sampled. L_max defaults to the search-domain diagonal, L_min
+    to 0.005*L_max (or L_max * contraction**(S-1) when a contraction factor
+    is given), S to max(12, round(0.05*M*d)), and sigma0 to sigma0_scale
+    times the domain width. The search starts from the identity frame; a
+    reset draws a random one. The next radius is the mean of the current
+    one and the distance the line search moved.
     """
 
     M: int = 5
@@ -47,10 +51,7 @@ class AdaDgsConfig:
     T_max: int | None = None
     budget: int | None = None
     reset_interval: int = 10
-    radius_update_uses: str = "distance"  # "distance" | "learning_rate"
-    initial_frame: str = "identity"  # "identity" | "random"
     contraction: float | None = None
-    skip_zero_node: bool = True
     seed: int | None = None
 
     def resolved(self, objective: Objective) -> "AdaDgsConfig":
@@ -70,8 +71,9 @@ class AdaDgsConfig:
         return cfg
 
     def validate(self) -> None:
-        if not 1 <= self.M <= 64:
-            raise ValueError(f"M out of range: {self.M}")
+        if not 2 <= self.M <= 64:
+            raise ValueError(f"M must be in 2..64 (the 1-point rule's only node "
+                             f"is 0, so it samples nothing), got {self.M}")
         if not (self.L_min is not None and 0 < self.L_min < self.L_max):
             raise ValueError(f"need 0 < L_min < L_max, got {self.L_min}, {self.L_max}")
         if self.S < 2:
@@ -80,16 +82,11 @@ class AdaDgsConfig:
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.radius_update_uses not in ("distance", "learning_rate"):
-            raise ValueError(f"unknown radius_update_uses {self.radius_update_uses!r}")
-        if self.initial_frame not in ("identity", "random"):
-            raise ValueError(f"unknown initial_frame {self.initial_frame!r}")
         if self.T_max is None and self.budget is None:
             raise ValueError("need at least one of T_max, budget")
 
     def stencil_size(self, d: int) -> int:
-        effective = self.M - 1 if (self.skip_zero_node and self.M % 2 == 1) else self.M
-        return effective * d
+        return (self.M - self.M % 2) * d  # odd M: the zero node is skipped
 
 
 @dataclass
@@ -149,7 +146,6 @@ def drive(F, x0, sigma0, iterations, cost, T_max, budget) -> tuple[np.ndarray, f
 class LineSearchResult(NamedTuple):
     j: int | None  # winning candidate index; None when the incumbent wins
     step_distance: float
-    lam: float  # learning rate: step_distance / ||g||
     x_new: np.ndarray
     f_new: float
 
@@ -186,8 +182,8 @@ def line_search(F, x, g, L_max, L_min, S, f_x) -> LineSearchResult:
     j = int(np.argmin(fvals))  # first minimum: smallest j wins ties
     if fvals[j] < f_x:
         step = float(steps[j])
-        return LineSearchResult(j, step, step / gnorm, x - steps[j] * ghat, float(fvals[j]))
-    return LineSearchResult(None, 0.0, 0.0, x, float(f_x))
+        return LineSearchResult(j, step, x - steps[j] * ghat, float(fvals[j]))
+    return LineSearchResult(None, 0.0, x, float(f_x))
 
 
 def sigma_update(sigma_prev: float, step: float) -> float:
@@ -207,18 +203,16 @@ def random_rotation(d: int, rng: np.random.Generator) -> Frame:
 def adadgs_step(F, state: OptimizerState, cfg: AdaDgsConfig) -> OptimizerState:
     """Advance the optimizer by one iteration (gradient + line search)."""
     rule = gauss_hermite_rule(cfg.M)
-    grad = dgs_gradient(F, state.x, state.frame, state.sigma, rule,
-                        skip_zero_node=cfg.skip_zero_node)
+    grad = dgs_gradient(F, state.x, state.frame, state.sigma, rule)
 
     if not DEGENERATE_NORM < gradient_norm(grad.vector) < np.inf:
         # no usable direction: stay put, and explore as if stalled
-        ls = LineSearchResult(None, 0.0, 0.0, state.x, state.f_current)
+        ls = LineSearchResult(None, 0.0, state.x, state.f_current)
         sigma, stalled = state.sigma, True
     else:
         ls = line_search(F, state.x, grad.vector, cfg.L_max, cfg.L_min, cfg.S,
                          f_x=state.f_current)
-        step = ls.step_distance if cfg.radius_update_uses == "distance" else ls.lam
-        sigma = sigma_update(state.sigma, step)
+        sigma = sigma_update(state.sigma, ls.step_distance)
         rel_change = abs(ls.f_new - state.f_current) / max(abs(state.f_current), 1e-12)
         stalled = rel_change < cfg.gamma
 
@@ -247,12 +241,10 @@ def adadgs_minimize(F, x0, cfg: AdaDgsConfig) -> tuple[np.ndarray, float, Trace]
     cfg = cfg.resolved(F)
     d = x0.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    frame = Frame.identity(d) if cfg.initial_frame == "identity" else \
-        random_rotation(d, rng)
 
     def iterations(x, f0):
-        state = OptimizerState(x=x, sigma=cfg.sigma0, frame=frame, t=0, f_current=f0,
-                               last_reset_t=_NEVER_RESET, rng=rng)
+        state = OptimizerState(x=x, sigma=cfg.sigma0, frame=Frame.identity(d), t=0,
+                               f_current=f0, last_reset_t=_NEVER_RESET, rng=rng)
         while True:
             state = adadgs_step(F, state, cfg)
             yield Iterate(state.f_current, state.sigma, state.last_step,

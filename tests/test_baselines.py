@@ -25,7 +25,7 @@ def constant(d, value=3.0):
 
 def test_es_sphere_decreases():
     F = sphere(10)
-    cfg = BaselineConfig("es_bpop", learning_rate=0.05, sigma_or_h=0.1,
+    cfg = BaselineConfig(learning_rate=0.05, sigma_or_h=0.1,
                          population=50, budget=20_000, seed=0)
     x0 = np.full(10, 3.0)
     _, f_best, trace = es_bpop_minimize(F, x0, cfg)
@@ -35,7 +35,7 @@ def test_es_sphere_decreases():
 
 def test_es_constant_never_moves():
     F = constant(4)
-    cfg = BaselineConfig("es_bpop", learning_rate=0.1, sigma_or_h=0.5,
+    cfg = BaselineConfig(learning_rate=0.1, sigma_or_h=0.5,
                          population=10, T_max=20, seed=1)
     x0 = np.array([0.1, 0.2, 0.3, 0.4])
     x_best, f_best, trace = es_bpop_minimize(F, x0, cfg)
@@ -47,7 +47,7 @@ def test_es_constant_never_moves():
 def test_es_budget_below_population():
     F = sphere(3)
     x0 = np.ones(3)
-    cfg = BaselineConfig("es_bpop", learning_rate=0.1, sigma_or_h=0.1,
+    cfg = BaselineConfig(learning_rate=0.1, sigma_or_h=0.1,
                          population=40, budget=20, seed=0)
     x_best, f_best, trace = es_bpop_minimize(F, x0, cfg)
     assert len(trace) == 1
@@ -57,7 +57,7 @@ def test_es_budget_below_population():
 
 def test_es_eval_accounting():
     F = sphere(5)
-    cfg = BaselineConfig("es_bpop", learning_rate=0.01, sigma_or_h=0.1,
+    cfg = BaselineConfig(learning_rate=0.01, sigma_or_h=0.1,
                          population=20, T_max=7, seed=2)
     _, _, trace = es_bpop_minimize(F, np.ones(5), cfg)
     rows = list(trace)
@@ -68,7 +68,7 @@ def test_es_eval_accounting():
 def test_es_rejects_odd_population():
     with pytest.raises(ValueError):
         es_bpop_minimize(sphere(2), np.ones(2),
-                         BaselineConfig("es_bpop", 0.1, 0.1, population=7, T_max=1))
+                         BaselineConfig(0.1, 0.1, population=7, T_max=1))
 
 
 # --- Nesterov random search -----------------------------------------------------
@@ -78,7 +78,7 @@ def test_nesterov_forward_difference_exact_on_linear():
     c = np.array([2.0, -1.0, 0.5])
     F = Objective(lambda X: X @ c, 3, (-10, 10))
     # one step with a seeded direction reproduces the oracle exactly
-    cfg = BaselineConfig("nesterov", learning_rate=0.1, sigma_or_h=1e-3,
+    cfg = BaselineConfig(learning_rate=0.1, sigma_or_h=1e-3,
                          T_max=1, seed=9)
     x0 = np.zeros(3)
     _, _, trace = nesterov_minimize(F, x0, cfg)
@@ -91,7 +91,7 @@ def test_nesterov_forward_difference_exact_on_linear():
 def test_nesterov_sphere_regression():
     F = sphere(10)
     x0 = np.full(10, 2.0)
-    cfg = BaselineConfig("nesterov", learning_rate=1e-3, sigma_or_h=1e-4,
+    cfg = BaselineConfig(learning_rate=1e-3, sigma_or_h=1e-4,
                          T_max=10_000, seed=3)
     _, f_best, trace = nesterov_minimize(F, x0, cfg)
     assert trace.final.f_best < float(F(x0)) / 10
@@ -99,7 +99,7 @@ def test_nesterov_sphere_regression():
 
 def test_nesterov_constant_no_movement():
     F = constant(3)
-    cfg = BaselineConfig("nesterov", learning_rate=0.1, sigma_or_h=1e-3,
+    cfg = BaselineConfig(learning_rate=0.1, sigma_or_h=1e-3,
                          T_max=50, seed=4)
     _, _, trace = nesterov_minimize(F, np.zeros(3), cfg)
     assert all(r.step == 0.0 for r in trace)
@@ -107,7 +107,7 @@ def test_nesterov_constant_no_movement():
 
 def test_nesterov_eval_accounting():
     F = sphere(4)
-    cfg = BaselineConfig("nesterov", learning_rate=1e-3, sigma_or_h=1e-4,
+    cfg = BaselineConfig(learning_rate=1e-3, sigma_or_h=1e-4,
                          budget=101, seed=5)
     _, _, trace = nesterov_minimize(F, np.ones(4), cfg)
     assert trace.final.evals == 101  # 1 initial + 50 steps * 2
@@ -132,7 +132,7 @@ def test_fd_gradient_matches_analytic():
 def test_fd_sphere_one_step():
     F = sphere(6)
     x0 = np.full(6, 2.5)
-    cfg = BaselineConfig("fd", learning_rate=0.5, sigma_or_h=1e-6, T_max=1, seed=0)
+    cfg = BaselineConfig(learning_rate=0.5, sigma_or_h=1e-6, T_max=1, seed=0)
     _, _, trace = fd_minimize(F, x0, cfg)
     # grad = 2x, so x - 0.5 * 2x lands at the origin (up to h^2 noise)
     assert trace.final.step == pytest.approx(np.linalg.norm(x0), rel=1e-9)
@@ -141,7 +141,7 @@ def test_fd_sphere_one_step():
 def test_fd_rastrigin_traps_in_local_minimum():
     F = make_benchmark("rastrigin", 100, 0)
     x0 = np.random.default_rng(1).uniform(F.lower, F.upper, 100)
-    cfg = BaselineConfig("fd", learning_rate=1e-3, sigma_or_h=1e-5,
+    cfg = BaselineConfig(learning_rate=1e-3, sigma_or_h=1e-5,
                          budget=100_000, seed=1)
     _, f_best, _ = fd_minimize(F, x0, cfg)
     assert f_best > 1.0  # local-gradient descent cannot find the global basin
@@ -149,7 +149,7 @@ def test_fd_rastrigin_traps_in_local_minimum():
 
 def test_fd_eval_accounting():
     F = sphere(5)
-    cfg = BaselineConfig("fd", learning_rate=0.1, sigma_or_h=1e-5, T_max=6, seed=0)
+    cfg = BaselineConfig(learning_rate=0.1, sigma_or_h=1e-5, T_max=6, seed=0)
     _, _, trace = fd_minimize(F, np.ones(5), cfg)
     rows = list(trace)
     assert [r.evals for r in rows] == [1 + 10 * k for k in range(7)]
@@ -160,9 +160,9 @@ def test_fd_eval_accounting():
 
 
 @pytest.mark.parametrize("run,cfg", [
-    (es_bpop_minimize, BaselineConfig("es_bpop", 0.1, 0.1, population=10, T_max=3)),
-    (nesterov_minimize, BaselineConfig("nesterov", 0.1, 1e-3, T_max=3)),
-    (fd_minimize, BaselineConfig("fd", 0.1, 1e-3, T_max=3)),
+    (es_bpop_minimize, BaselineConfig(0.1, 0.1, population=10, T_max=3)),
+    (nesterov_minimize, BaselineConfig(0.1, 1e-3, T_max=3)),
+    (fd_minimize, BaselineConfig(0.1, 1e-3, T_max=3)),
 ])
 @pytest.mark.parametrize("finite_at_start", [False, True])
 def test_all_nan_objective_raises(run, cfg, finite_at_start):
@@ -178,10 +178,10 @@ def test_all_nan_objective_raises(run, cfg, finite_at_start):
 
 
 @pytest.mark.parametrize("kw", [
-    dict(method="bogus", learning_rate=0.1, sigma_or_h=0.1, T_max=1),
-    dict(method="fd", learning_rate=-0.1, sigma_or_h=0.1, T_max=1),
-    dict(method="fd", learning_rate=0.1, sigma_or_h=0.0, T_max=1),
-    dict(method="fd", learning_rate=0.1, sigma_or_h=0.1),
+    dict(learning_rate=0.0, sigma_or_h=0.1, T_max=1),
+    dict(learning_rate=-0.1, sigma_or_h=0.1, T_max=1),
+    dict(learning_rate=0.1, sigma_or_h=0.0, T_max=1),
+    dict(learning_rate=0.1, sigma_or_h=0.1),
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
@@ -191,7 +191,7 @@ def test_config_validation(kw):
 def test_seed_determinism():
     def run():
         F = sphere(6)
-        cfg = BaselineConfig("es_bpop", learning_rate=0.03, sigma_or_h=0.2,
+        cfg = BaselineConfig(learning_rate=0.03, sigma_or_h=0.2,
                              population=12, T_max=30, seed=77)
         return es_bpop_minimize(F, np.full(6, 1.5), cfg)
 

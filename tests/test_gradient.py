@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adadgs.benchmarks import Objective, haar_rotation
+from adadgs.benchmarks import Lines, Objective, haar_rotation
 from adadgs.errors import EvaluationError
 from adadgs.gradient import (
     Frame,
@@ -44,21 +44,16 @@ def test_stencil_is_one_lines_batch_along_the_frame():
     frame = Frame(haar_rotation(3, np.random.default_rng(1)))
     x = np.array([0.5, -1.0, 2.0])
     st = dgs_stencil(x, frame, 0.7, rule)
-    assert st.lines.origin is x and st.lines.directions is frame.matrix
-    np.testing.assert_array_equal(st.lines.offsets, np.sqrt(2.0) * 0.7 * rule.nodes[st.node_index])
-    assert np.array_equal(st.points, st.lines.points)
+    assert isinstance(st, Lines)
+    assert st.origin is x and st.directions is frame.matrix
+    # the zero node of the 5-point rule is never sampled
+    np.testing.assert_array_equal(st.offsets, np.sqrt(2.0) * 0.7 * rule.nodes[[0, 1, 3, 4]])
 
 
 def test_stencil_counts_skip():
     rule = gauss_hermite_rule(3)
-    st = dgs_stencil(np.zeros(2), Frame.identity(2), 1.0, rule, skip_zero_node=True)
+    st = dgs_stencil(np.zeros(2), Frame.identity(2), 1.0, rule)
     assert st.points.shape == (4, 2)
-
-
-def test_stencil_counts_noskip():
-    rule = gauss_hermite_rule(3)
-    st = dgs_stencil(np.zeros(2), Frame.identity(2), 1.0, rule, skip_zero_node=False)
-    assert st.points.shape == (6, 2)
 
 
 def test_stencil_points_m2_1d():
@@ -213,7 +208,8 @@ def test_rotation_covariance_on_quadratics(d):
 
 def per_direction_reference(F, x, frame, sigma, rule, skip_zero_node):
     # one directional_derivative call per direction, each on its own
-    # cross-section, with a skipped zero node's slot left at 0
+    # cross-section; a skipped zero node's slot is left at 0, an unskipped
+    # one holds its sample
     nodes = [m for m in range(rule.order) if not (skip_zero_node and rule.nodes[m] == 0.0)]
     directional = np.empty(frame.dim)
     for i, xi in enumerate(frame.matrix):
@@ -224,17 +220,19 @@ def per_direction_reference(F, x, frame, sigma, rule, skip_zero_node):
     return directional
 
 
-@pytest.mark.parametrize("M,skip", [(2, True), (3, True), (3, False), (5, True),
-                                    (8, True), (9, False), (13, True)])
-def test_single_call_assembly_matches_per_direction_loop(M, skip):
+@pytest.mark.parametrize("M,ref_skips", [(2, True), (3, True), (3, False), (5, True),
+                                         (8, True), (9, False), (13, True)])
+def test_single_call_assembly_matches_per_direction_loop(M, ref_skips):
+    # dgs_gradient never samples a zero node; it matches the reference
+    # bit for bit whether or not the reference samples it
     rng = np.random.default_rng(M)
     d = 9
     F = counted(lambda X: np.sin(3 * X).sum(axis=1) + (X**2).sum(axis=1) ** 1.5, d)
     x = rng.normal(size=d)
     frame = Frame(haar_rotation(d, rng))
     rule = gauss_hermite_rule(M)
-    g = dgs_gradient(F, x, frame, 0.7, rule, skip_zero_node=skip)
-    ref = per_direction_reference(F, x, frame, 0.7, rule, skip)
+    g = dgs_gradient(F, x, frame, 0.7, rule)
+    ref = per_direction_reference(F, x, frame, 0.7, rule, ref_skips)
     np.testing.assert_array_equal(g.directional, ref)
     np.testing.assert_array_equal(g.vector, g.directional @ frame.matrix)
 
@@ -246,19 +244,24 @@ def test_zero_node_skip_bit_identical():
     x = rng.normal(size=d)
     frame = Frame(haar_rotation(d, rng))
     rule = gauss_hermite_rule(5)
-    g_skip = dgs_gradient(F, x, frame, 1.1, rule, skip_zero_node=True)
-    g_full = dgs_gradient(F, x, frame, 1.1, rule, skip_zero_node=False)
-    assert np.array_equal(g_skip.vector, g_full.vector)
-    assert np.array_equal(g_skip.directional, g_full.directional)
+    g_skip = dgs_gradient(F, x, frame, 1.1, rule)
+    # the same quadrature with the zero node sampled: every node, every direction
+    c = np.sqrt(2.0) * 1.1 * rule.nodes
+    full = F(Lines(x, frame.matrix, c)).reshape(d, rule.order)
+    assert np.all(full[:, 2] != 0.0)  # the zero node's samples are real values
+    directional = directional_derivative(full, 1.1, rule)
+    assert np.array_equal(g_skip.directional, directional)
+    assert np.array_equal(g_skip.vector, directional @ frame.matrix)
 
 
-@pytest.mark.parametrize("M,skip,per_dir", [(4, True, 4), (4, False, 4),
-                                            (5, True, 4), (5, False, 5)])
-def test_evals_used(M, skip, per_dir):
+@pytest.mark.parametrize("M,has_zero_node,per_dir", [(4, False, 4), (5, True, 4),
+                                                     (2, False, 2), (3, True, 2)])
+def test_evals_used(M, has_zero_node, per_dir):
     d = 3
+    rule = gauss_hermite_rule(M)
+    assert (0.0 in rule.nodes) == has_zero_node
     F = counted(lambda X: (X**2).sum(axis=1), d)
-    dgs_gradient(F, np.zeros(d), Frame.identity(d), 1.0,
-                 gauss_hermite_rule(M), skip_zero_node=skip)
+    dgs_gradient(F, np.zeros(d), Frame.identity(d), 1.0, rule)
     assert F.evals == per_dir * d
 
 

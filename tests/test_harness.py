@@ -4,10 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from adadgs import cli
+from adadgs.benchmarks import make_benchmark
 from adadgs.cli import main
 from adadgs.harness import (
     ExperimentSpec,
     checkpoint_grid,
+    default_baseline_config,
     list_functions,
     parse_trace_csv,
     preset,
@@ -75,6 +78,15 @@ def test_parallel_execution_byte_identical(tmp_path, monkeypatch):
         assert a == b
 
 
+@pytest.mark.parametrize("raw", ["two", "0", "-1", "1.5", ""])
+def test_bad_worker_count_is_an_error_before_any_output(tmp_path, monkeypatch, raw):
+    monkeypatch.setenv("ADADGS_WORKERS", raw)
+    spec = small_spec(tmp_path, trials=2)
+    with pytest.raises(ValueError, match="ADADGS_WORKERS"):
+        run_experiment(spec)
+    assert not (spec.run_dir / "manifest.json").exists()
+
+
 def test_summary_recomputable_from_csvs(tmp_path):
     spec = small_spec(tmp_path, optimizer="fd", budget=400)
     summary = run_experiment(spec)
@@ -100,6 +112,12 @@ def test_budget_accounting_all_optimizers():
                               budget=300, trials=1, seed=1, out_dir="unused")
         trace = run_trial(spec, 0)
         assert trace.final.evals <= 300
+
+
+def test_default_es_population_rounds_up_to_even():
+    spec = ExperimentSpec(function="ellipsoidal", dim=5, optimizer="es_bpop", budget=300)
+    cfg = default_baseline_config(spec, make_benchmark("ellipsoidal", 5, 0))
+    assert cfg.population == 26  # M*d = 25
 
 
 def test_checkpoint_grid():
@@ -129,7 +147,6 @@ def test_preset_unknown():
 def test_preset_dimension_independent():
     import dataclasses
 
-    from adadgs.benchmarks import make_benchmark
     cfg = dataclasses.replace(preset("paper-1000d"), budget=1000)
     for d in (10, 2000):
         b = make_benchmark("ackley", d, 0)
@@ -219,3 +236,78 @@ def test_cli_preset_flag(tmp_path):
         (tmp_path / "ackley_4_adadgs" / "manifest.json").read_text())
     assert manifest["adadgs_config"]["gamma"] == 0.0  # from preset
     assert manifest["adadgs_config"]["S"] == 12  # explicit flag overrides
+
+
+def run_args(tmp_path, *extra, optimizer="adadgs"):
+    return ["run", "--func", "ellipsoidal", "--dim", "3", "--optimizer", optimizer,
+            "--trials", "1", "--budget", "60", "--out", str(tmp_path), *extra]
+
+
+def read_manifest(tmp_path, optimizer="adadgs"):
+    return json.loads((tmp_path / f"ellipsoidal_3_{optimizer}" / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[experiment]\nfunc = ellipsoidal\n[adadgs]\ngh_point = 3\n", "'gh_point' in [adadgs]"),
+    ("[experiment]\nfunc = ellipsoidal\nfunction = ackley\n", "'function' in [experiment]"),
+    ("[baseline]\nmethod = fd\n", "'method' in [baseline]"),
+    ("[experiment]\nfunc = ellipsoidal\n[adadgs_options]\ngamma = 0\n", "[adadgs_options]"),
+], ids=["adadgs-key", "experiment-key", "baseline-key", "section"])
+def test_cli_config_unknown_key_or_section_is_an_error(tmp_path, capsys, text, named):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text)
+    assert main(run_args(tmp_path, "--config", str(cfg))) == 1
+    err = capsys.readouterr().err
+    assert "unknown" in err and named in err
+    assert not (tmp_path / "ellipsoidal_3_adadgs").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--learning-rate", "0"), ("--sigma-or-h", "0"), ("--population", "7"),
+])
+def test_cli_baseline_override_is_used_as_given(tmp_path, capsys, flag, value):
+    # an explicit invalid value is rejected, not replaced by the default
+    assert main(run_args(tmp_path, flag, value, optimizer="es_bpop")) == 1
+    assert "error" in capsys.readouterr().err
+
+
+# Every adadgs and baseline flag, its INI key and the field it sets: the
+# flag names are the public interface, so they are spelled out here.
+FLAGS = {
+    "--gh-points": ("adadgs", "M", "4"),
+    "--lmax": ("adadgs", "L_max", "3.5"),
+    "--lmin": ("adadgs", "L_min", "0.25"),
+    "--line-points": ("adadgs", "S", "5"),
+    "--sigma0": ("adadgs", "sigma0", "0.75"),
+    "--sigma0-scale": ("adadgs", "sigma0_scale", "2.5"),
+    "--gamma": ("adadgs", "gamma", "0.125"),
+    "--contraction": ("adadgs", "contraction", "0.5"),
+    "--reset-interval": ("adadgs", "reset_interval", "3"),
+    "--learning-rate": ("baseline", "learning_rate", "0.125"),
+    "--sigma-or-h": ("baseline", "sigma_or_h", "0.0625"),
+    "--population": ("baseline", "population", "6"),
+}
+
+
+def test_cli_flag_table_is_the_field_tables():
+    tables = {"adadgs": cli._ADADGS_FIELDS, "baseline": cli._BASELINE_FIELDS}
+    listed = {(section, flag[2:].replace("-", "_"), fld)
+              for flag, (section, fld, _) in FLAGS.items()}
+    assert listed == {(section, key, fld) for section, table in tables.items()
+                      for key, (fld, _) in table.items()}
+
+
+@pytest.mark.parametrize("flag", FLAGS)
+def test_cli_flag_and_ini_key_set_their_field(tmp_path, flag):
+    section, fld, value = FLAGS[flag]
+    optimizer = "adadgs" if section == "adadgs" else "es_bpop"
+    record = "adadgs_config" if section == "adadgs" else "baseline_overrides"
+    expected = float(value) if "." in value else int(value)
+
+    assert main(run_args(tmp_path / "flag", flag, value, optimizer=optimizer)) == 0
+    assert read_manifest(tmp_path / "flag", optimizer)[record][fld] == expected
+
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[{section}]\n{flag[2:].replace('-', '_')} = {value}\n")
+    assert main(run_args(tmp_path / "ini", "--config", str(cfg), optimizer=optimizer)) == 0
+    assert read_manifest(tmp_path / "ini", optimizer)[record][fld] == expected

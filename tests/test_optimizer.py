@@ -83,7 +83,7 @@ def test_line_search_constant_keeps_incumbent():
     F = Objective(lambda X: np.full(X.shape[0], 7.0), 2, (-10, 10))
     x = np.array([0.3, -0.4])
     res = line_search(F, x, np.array([1.0, 1.0]), 1.0, 0.01, 12, f_x=7.0)
-    assert res.step_distance == 0.0 and res.lam == 0.0
+    assert res.step_distance == 0.0
     assert np.array_equal(res.x_new, x)
     assert res.f_new == 7.0
 
@@ -110,7 +110,9 @@ def test_line_search_dominance_and_lambda_identity():
     res = line_search(F, x, g, 4.0, 0.02, 15, f_x=F(x))
     _, vals = brute_force_j(F, x, g, 4.0, 0.02, 15)
     assert res.f_new <= min(vals) and res.f_new <= float(F(x))
-    assert res.lam * np.linalg.norm(g) == pytest.approx(res.step_distance, rel=1e-12)
+    # the step is x_new = x - lam * g with learning rate lam = step / ||g||
+    lam = res.step_distance / np.linalg.norm(g)
+    np.testing.assert_allclose(res.x_new, x - lam * g, rtol=1e-12, atol=1e-15)
 
 
 def test_line_search_nan_candidate_does_not_hide_improvement():
@@ -270,20 +272,16 @@ def test_overflowing_gradient_norm_is_degenerate():
     assert F.evals - evals_before == cfg.stencil_size(3)
 
 
-def test_radius_update_learning_rate_switch():
+def test_radius_update_uses_step_distance():
+    # sigma is a length: the next radius averages it with the distance moved
     F = sphere(4)
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=4)
-    for mode in ("distance", "learning_rate"):
-        Fm = sphere(4)
-        cfg = resolved(Fm, radius_update_uses=mode)
-        state = make_state(x, cfg.sigma0, Fm)
-        new = adadgs_step(Fm, state, cfg)
-        if mode == "distance":
-            assert new.sigma == sigma_update(cfg.sigma0, new.last_step)
-        else:
-            assert new.sigma < sigma_update(cfg.sigma0, new.last_step) or \
-                new.last_step == 0.0
+    x = np.random.default_rng(8).normal(size=4)
+    cfg = resolved(F)
+    state = make_state(x, cfg.sigma0, F)
+    new = adadgs_step(F, state, cfg)
+    assert new.last_step > 0.0
+    assert new.last_step == pytest.approx(np.linalg.norm(new.x - x), rel=1e-12)
+    assert new.sigma == sigma_update(cfg.sigma0, new.last_step)
 
 
 # --- full minimize -----------------------------------------------------------
@@ -339,7 +337,7 @@ def test_minimize_seed_determinism():
     def run():
         F = sphere(7)
         x0 = np.linspace(-3, 3, 7)
-        cfg = AdaDgsConfig(T_max=25, gamma=0.01, seed=123, initial_frame="random")
+        cfg = AdaDgsConfig(T_max=25, gamma=0.01, seed=123)
         return adadgs_minimize(F, x0, cfg)
 
     (x1, f1, t1), (x2, f2, t2) = run(), run()
@@ -411,12 +409,20 @@ def test_config_contraction_sets_lmin():
 
 @pytest.mark.parametrize("bad", [
     dict(S=1), dict(gamma=-0.1), dict(sigma0=-1.0), dict(M=0),
-    dict(L_min=5.0, L_max=1.0), dict(radius_update_uses="nope"),
+    dict(L_min=5.0, L_max=1.0), dict(M=1),
 ])
 def test_config_validation(bad):
     F = sphere(3)
     with pytest.raises(ValueError):
         AdaDgsConfig(T_max=1, **bad).resolved(F)
+
+
+def test_one_point_rule_rejected_before_any_evaluation():
+    # the 1-point rule's only node is 0: its stencil would sample nothing
+    F = sphere(3)
+    with pytest.raises(ValueError, match="1-point rule"):
+        adadgs_minimize(F, np.ones(3), AdaDgsConfig(M=1, T_max=2))
+    assert F.evals == 0
 
 
 def test_config_requires_some_cap():

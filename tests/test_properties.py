@@ -105,7 +105,7 @@ def test_stencil_shape_and_membership(d, m, seed):
     sigma = float(rng.uniform(0.1, 5.0))
     frame = Frame.identity(d)
     rule = gauss_hermite_rule(m)
-    st_pts = dgs_stencil(x, frame, sigma, rule, skip_zero_node=m % 2 == 1)
+    st_pts = dgs_stencil(x, frame, sigma, rule)
     expected = (m - 1) * d if m % 2 == 1 else m * d
     assert st_pts.points.shape == (expected, d)
     assert np.all(np.isfinite(st_pts.points))
