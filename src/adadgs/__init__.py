@@ -13,6 +13,7 @@ from .benchmarks import (
 )
 from .errors import EvaluationError
 from .gradient import DgsGradient, Frame, dgs_gradient, dgs_stencil, directional_derivative, gs_mc_gradient
+from .gradient import QuadratureRule, gauss_hermite_rule
 from .harness import ExperimentSpec, list_functions, preset, run_experiment, run_trial
 from .optimizer import (
     AdaDgsConfig,
@@ -24,7 +25,6 @@ from .optimizer import (
     random_rotation,
     sigma_update,
 )
-from .quadrature import QuadratureRule, gauss_hermite_rule
 from .trace import Trace, TraceRow
 
 __version__ = "0.1.0"

@@ -85,7 +85,10 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
         if cli_val is not None:
             return parse(cli_val)
         if key in file_cfg.get(section, {}):
-            return parse(file_cfg[section][key])
+            try:
+                return parse(file_cfg[section][key])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: [{section}] {key}: {exc}") from exc
         if required:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
         return default

@@ -6,22 +6,52 @@ Gauss-Hermite quadrature,
     D[G_sigma](0) ~= (1 / (sqrt(pi) * sigma)) * sum_m w_m F(x + sqrt(2) sigma v_m xi) sqrt(2) v_m,
 
 and the d per-direction derivatives are assembled against the orthonormal
-frame to form a gradient surrogate in ambient coordinates.
+frame to form a gradient surrogate in ambient coordinates. The M-point
+Gauss-Hermite rule (physicists' convention, weight exp(-v^2)) is numpy's
+`numpy.polynomial.hermite.hermgauss`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .benchmarks import Lines
 from .errors import EvaluationError
-from .quadrature import QuadratureRule
 
 SQRT2 = np.sqrt(2.0)
 SQRT_PI = np.sqrt(np.pi)
+MAX_ORDER = 64
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Nodes and weights of an M-point Gauss-Hermite rule.
+
+    Nodes are strictly ascending and exactly symmetric about zero; for odd
+    order the middle node is exactly 0.0 so it can be skipped by callers.
+    """
+
+    order: int
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def gauss_hermite_rule(order: int) -> QuadratureRule:
+    """The M-point Gauss-Hermite rule, exact for polynomials of degree
+    <= 2M-1 under the weight exp(-v^2); its arrays are read-only."""
+    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
+        raise ValueError(f"order must be an integer, got {order!r}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    nodes, weights = np.polynomial.hermite.hermgauss(int(order))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(order=int(order), nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)

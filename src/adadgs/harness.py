@@ -24,6 +24,10 @@ from .optimizer import AdaDgsConfig, adadgs_minimize
 from .trace import Trace
 
 OPTIMIZERS = ("adadgs", "es_bpop", "nesterov", "fd")
+# the baseline_overrides keys each optimizer reads
+_OVERRIDES_READ = {"adadgs": (), "es_bpop": ("learning_rate", "sigma_or_h", "population"),
+                   "nesterov": ("learning_rate", "sigma_or_h"),
+                   "fd": ("learning_rate", "sigma_or_h")}
 PRESETS = ("paper-1000d",)
 WORKERS_ENV = "ADADGS_WORKERS"
 N_CHECKPOINTS = 100
@@ -46,6 +50,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown function {self.function!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for key in self.baseline_overrides:
+            if key not in _OVERRIDES_READ[self.optimizer]:
+                raise ValueError(f"optimizer {self.optimizer!r} does not read "
+                                 f"the baseline option {key!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.budget < 1:
@@ -107,6 +115,16 @@ def run_trial(spec: ExperimentSpec, trial: int) -> Trace:
 def _run_trial_csv(args) -> tuple[int, str]:
     spec, trial = args
     return trial, run_trial(spec, trial).to_csv(trial)
+
+
+def _trial_csvs(spec: ExperimentSpec, workers: int):
+    """Yield (trial, CSV text) in trial order, in-process or from a pool."""
+    jobs = [(spec, k) for k in range(spec.trials)]
+    if workers > 1 and spec.trials > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_run_trial_csv, jobs)
+    else:
+        yield from map(_run_trial_csv, jobs)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -188,26 +206,14 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     }
     _atomic_write(run_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
-    jobs = [(spec, k) for k in range(spec.trials)]
-    results: dict[int, str] = {}
-    try:
-        if workers > 1 and spec.trials > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for trial, csv_text in pool.map(_run_trial_csv, jobs):
-                    results[trial] = csv_text
-        else:
-            for job in jobs:
-                trial, csv_text = _run_trial_csv(job)
-                results[trial] = csv_text
-        for trial in range(spec.trials):
-            _atomic_write(run_dir / f"trial_{trial}.csv", results[trial])
-    except BaseException:
-        # keep whatever finished; the manifest stays marked incomplete
-        for trial in sorted(results):
-            _atomic_write(run_dir / f"trial_{trial}.csv", results[trial])
-        raise
+    # each CSV is written when its trial arrives; if a trial raises, the
+    # earlier CSVs stay and the manifest stays marked incomplete
+    csv_texts = []
+    for trial, csv_text in _trial_csvs(spec, workers):
+        _atomic_write(run_dir / f"trial_{trial}.csv", csv_text)
+        csv_texts.append(csv_text)
 
-    traces = [parse_trace_csv(results[k]) for k in range(spec.trials)]
+    traces = [parse_trace_csv(text) for text in csv_texts]
     summary = summarize(traces, spec.budget)
     _atomic_write(run_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     manifest["complete"] = True

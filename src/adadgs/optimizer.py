@@ -20,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .benchmarks import Lines, Objective, haar_rotation
-from .gradient import Frame, dgs_gradient, finite_samples
-from .quadrature import gauss_hermite_rule
+from .gradient import Frame, dgs_gradient, finite_samples, gauss_hermite_rule
 from .trace import Trace
 
 DEGENERATE_NORM = 1e-12

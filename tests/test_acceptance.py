@@ -28,7 +28,7 @@ from adadgs.optimizer import (
     random_rotation,
     sigma_update,
 )
-from adadgs.quadrature import gauss_hermite_rule
+from adadgs.gradient import gauss_hermite_rule
 
 
 def report(n: int, msg: str) -> None:

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import adadgs
 
 from adadgs.benchmarks import Lines, Objective, haar_rotation
 from adadgs.errors import EvaluationError
@@ -10,7 +17,7 @@ from adadgs.gradient import (
     directional_derivative,
     gs_mc_gradient,
 )
-from adadgs.quadrature import gauss_hermite_rule
+from adadgs.gradient import gauss_hermite_rule
 
 
 def counted(fn, d, width=10.0):
@@ -311,3 +318,14 @@ def test_mc_nonfinite_raises():
     F = counted(lambda X: np.where(X[:, 0] > 0, np.inf, 1.0), 2)
     with pytest.raises(EvaluationError):
         gs_mc_gradient(F, np.zeros(2), 1.0, 8, rng=np.random.default_rng(1))
+
+
+def test_import_does_not_load_scipy():
+    # the Gauss-Hermite rule comes from numpy; numpy is the only dependency
+    src = str(Path(adadgs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, adadgs; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

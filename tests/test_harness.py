@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from adadgs import cli
+from adadgs import cli, harness
 from adadgs.benchmarks import make_benchmark
 from adadgs.cli import main
 from adadgs.harness import (
@@ -85,6 +85,23 @@ def test_bad_worker_count_is_an_error_before_any_output(tmp_path, monkeypatch, r
     with pytest.raises(ValueError, match="ADADGS_WORKERS"):
         run_experiment(spec)
     assert not (spec.run_dir / "manifest.json").exists()
+
+
+def test_failing_trial_keeps_earlier_csvs(tmp_path, monkeypatch):
+    def run_or_fail(spec, trial):
+        if trial == 1:
+            raise RuntimeError("trial 1 failed")
+        return run_trial(spec, trial)
+
+    monkeypatch.setattr(harness, "run_trial", run_or_fail)
+    spec = small_spec(tmp_path)
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        run_experiment(spec)
+    assert (spec.run_dir / "trial_0.csv").read_text().splitlines()[0] == CSV_HEADER
+    assert not (spec.run_dir / "trial_1.csv").exists()
+    assert not (spec.run_dir / "trial_2.csv").exists()
+    assert not (spec.run_dir / "summary.json").exists()
+    assert json.loads((spec.run_dir / "manifest.json").read_text())["complete"] is False
 
 
 def test_summary_recomputable_from_csvs(tmp_path):
@@ -269,6 +286,35 @@ def test_cli_baseline_override_is_used_as_given(tmp_path, capsys, flag, value):
     # an explicit invalid value is rejected, not replaced by the default
     assert main(run_args(tmp_path, flag, value, optimizer="es_bpop")) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("optimizer,flag,value,key", [
+    ("fd", "--population", "7", "population"),
+    ("nesterov", "--population", "8", "population"),
+    ("adadgs", "--learning-rate", "0.5", "learning_rate"),
+])
+def test_cli_baseline_flag_the_optimizer_never_reads_is_an_error(
+        tmp_path, capsys, optimizer, flag, value, key):
+    assert main(run_args(tmp_path, flag, value, optimizer=optimizer)) == 1
+    err = capsys.readouterr().err
+    assert repr(optimizer) in err and repr(key) in err
+    assert not (tmp_path / f"ellipsoidal_3_{optimizer}").exists()
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[experiment]\ndim = three\n", "[experiment] dim: invalid literal for int()"),
+    ("[experiment]\ndim = 3\n[adadgs]\ngh_points = 3.5\n",
+     "[adadgs] gh_points: invalid literal for int()"),
+    ("[experiment]\ndim = 3\n[baseline]\nlearning_rate = fast\n",
+     "[baseline] learning_rate: could not convert string to float"),
+], ids=["experiment-int", "adadgs-int", "baseline-float"])
+def test_cli_config_value_of_wrong_type_names_its_key(tmp_path, capsys, text, named):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text)
+    assert main(["run", "--func", "ellipsoidal", "--optimizer", "es_bpop", "--trials", "1",
+                 "--budget", "60", "--out", str(tmp_path), "--config", str(cfg)]) == 1
+    assert f"error: {cfg}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "ellipsoidal_3_es_bpop").exists()
 
 
 # Every adadgs and baseline flag, its INI key and the field it sets: the

@@ -17,7 +17,7 @@ from adadgs.optimizer import (
     random_rotation,
     sigma_update,
 )
-from adadgs.quadrature import gauss_hermite_rule
+from adadgs.gradient import gauss_hermite_rule
 
 dims = st.integers(min_value=2, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)

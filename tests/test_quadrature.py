@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adadgs.quadrature import MAX_ORDER, gauss_hermite_rule
+from adadgs.gradient import MAX_ORDER, gauss_hermite_rule
 
 
 def gaussian_moment(k: int) -> float:
