@@ -6,25 +6,22 @@ from .benchmarks import (
     Objective,
     SubprocessObjective,
     TransformedBenchmark,
-    eval_base,
     haar_rotation,
     make_benchmark,
     optimum_value,
 )
 from .errors import EvaluationError
-from .gradient import DgsGradient, Frame, dgs_gradient, dgs_stencil, directional_derivative, gs_mc_gradient
+from .gradient import Frame, dgs_gradient, dgs_stencil, directional_derivative, gs_mc_gradient
 from .gradient import QuadratureRule, gauss_hermite_rule
 from .harness import ExperimentSpec, list_functions, preset, run_experiment, run_trial
 from .optimizer import (
     AdaDgsConfig,
     LineSearchResult,
-    OptimizerState,
     adadgs_minimize,
-    adadgs_step,
     line_search,
     random_rotation,
     sigma_update,
 )
-from .trace import Trace, TraceRow
+from .trace import Trace
 
 __version__ = "0.1.0"

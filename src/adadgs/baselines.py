@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradient import SampledGradient, finite_samples, gs_mc_gradient
-from .optimizer import Iterate, drive
+from .optimizer import Iterate, check_caps, drive
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,9 @@ class BaselineConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not self.sigma_or_h > 0:
             raise ValueError(f"sigma_or_h must be positive, got {self.sigma_or_h}")
-        if self.T_max is None and self.budget is None:
-            raise ValueError("need at least one of T_max, budget")
+        if self.population is not None and (self.population < 2 or self.population % 2):
+            raise ValueError(f"population must be a positive even integer, got {self.population}")
+        check_caps(self.T_max, self.budget)
 
 
 def _descend(F, x0, cfg: BaselineConfig, cost: int, estimate):
@@ -65,8 +66,8 @@ def es_bpop_minimize(F, x0, cfg: BaselineConfig):
     exactly `population` evaluations per iteration).
     """
     cfg.validate()
-    if cfg.population is None or cfg.population < 2 or cfg.population % 2 != 0:
-        raise ValueError(f"population must be a positive even integer, got {cfg.population}")
+    if cfg.population is None:
+        raise ValueError("es_bpop needs a population")
     rng = np.random.default_rng(cfg.seed)
     return _descend(F, x0, cfg, cfg.population,
                     lambda x: gs_mc_gradient(F, x, cfg.sigma_or_h, cfg.population, rng=rng))

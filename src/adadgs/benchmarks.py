@@ -49,14 +49,12 @@ class Objective:
         fn: Callable[[np.ndarray], np.ndarray],
         dim: int,
         bounds: tuple[np.ndarray, np.ndarray],
-        label: str = "",
     ):
         self.fn = fn
         self.dim = int(dim)
         lower, upper = bounds
         self.lower = np.broadcast_to(np.asarray(lower, float), (self.dim,)).copy()
         self.upper = np.broadcast_to(np.asarray(upper, float), (self.dim,)).copy()
-        self.label = label
         self._count = 0
 
     def __call__(self, x):
@@ -205,16 +203,6 @@ def optimum_value(name: str, d: int) -> float:
     return info.optimum_offset + info.optimum_per_dim * d
 
 
-def eval_base(name: str, z) -> float | np.ndarray:
-    """Evaluate a base function at z (untransformed coordinates)."""
-    if name not in BENCHMARKS:
-        raise ValueError(f"unknown benchmark {name!r}")
-    z = np.asarray(z, float)
-    if z.ndim == 1:
-        return float(BENCHMARKS[name].fn(z[None, :])[0])
-    return BENCHMARKS[name].fn(z)
-
-
 def _to_base(X: np.ndarray, rotation, x_opt, z_star: float) -> np.ndarray:
     """Base-function coordinates R(x - x_opt) + z_star of x, or of each row of X."""
     Z = (X - x_opt) @ rotation.T
@@ -244,7 +232,7 @@ class TransformedBenchmark(Objective):
         def fn(X, _info=info, _R=self.rotation, _xo=self.x_opt):
             return _info.fn(_to_base(X, _R, _xo, _info.z_star))
 
-        super().__init__(fn, len(x_opt), (info.lower, info.upper), label=name)
+        super().__init__(fn, len(x_opt), (info.lower, info.upper))
 
     def _eval_lines(self, lines: Lines) -> np.ndarray:
         origin, directions, offsets = lines
@@ -312,7 +300,7 @@ class SubprocessObjective(Objective):
             bufsize=1,
         )
         self._handshake(dim)
-        super().__init__(self._eval_batch, dim, bounds, label=" ".join(command))
+        super().__init__(self._eval_batch, dim, bounds)
 
     def _handshake(self, dim: int):
         reply = self._roundtrip(f"H {dim}")

@@ -119,7 +119,8 @@ def cmd_run(args) -> int:
     final = summary["final"]
     print(f"wrote {spec.run_dir}")
     print(f"final f_best over {spec.trials} trials: "
-          f"median {final['median_f_best']:.6g}, "
+          f"median {final['median_f_best']:.6g} "
+          f"(median reduction {final['median_reduction']:.3e}x), "
           f"mean {final['mean_f_best']:.6g} +- {final['std_f_best']:.6g}")
     return 0
 
@@ -134,11 +135,12 @@ def cmd_list() -> int:
 
 
 def cmd_presets() -> int:
-    for name in PRESETS:
-        cfg = preset(name)
-        print(f"{name}: M={cfg.M}, S={cfg.S}, contraction={cfg.contraction}, "
-              f"gamma={cfg.gamma}, sigma0={cfg.sigma0_scale}*width, "
-              f"L_max=domain diagonal")
+    """Each preset's fields that differ from AdaDgsConfig()."""
+    default = AdaDgsConfig()
+    for name, cfg in PRESETS.items():
+        changed = [f"{f.name}={getattr(cfg, f.name)}" for f in dataclasses.fields(cfg)
+                   if getattr(cfg, f.name) != getattr(default, f.name)]
+        print(f"{name}: {', '.join(changed)}")
     return 0
 
 

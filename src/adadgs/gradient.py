@@ -84,14 +84,6 @@ class Frame:
             raise ValueError(f"frame not orthonormal: max deviation {err:.3e}")
 
 
-@dataclass(frozen=True)
-class DgsGradient:
-    """Per-direction smoothed derivatives and their ambient-space assembly."""
-
-    directional: np.ndarray  # shape (d,)
-    vector: np.ndarray  # shape (d,)
-
-
 class SampledGradient(NamedTuple):
     """A gradient estimate with the points it sampled and their values."""
 
@@ -160,14 +152,14 @@ def dgs_gradient(
     frame: Frame,
     sigma: float,
     rule: QuadratureRule,
-) -> DgsGradient:
-    """Evaluate the full DGS gradient surrogate at x (batched stencil)."""
+) -> np.ndarray:
+    """The DGS gradient surrogate at x, shape (d,): the per-direction
+    smoothed derivatives from one batched stencil, assembled against the
+    frame."""
     values = finite_samples(F(dgs_stencil(x, frame, sigma, rule)))
     full = np.zeros((frame.dim, rule.order))
     full[:, rule.nodes != 0.0] = values.reshape(frame.dim, -1)
-    directional = directional_derivative(full, sigma, rule)
-    vector = directional @ frame.matrix
-    return DgsGradient(directional=directional, vector=vector)
+    return directional_derivative(full, sigma, rule) @ frame.matrix
 
 
 def gs_mc_gradient(

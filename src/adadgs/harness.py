@@ -4,6 +4,11 @@ Each trial draws its own benchmark instance (rotation + optimum location)
 and initial point from seeds derived deterministically from the master
 seed, runs the chosen optimizer, and writes one CSV. A summary aggregates
 best-loss statistics across trials on a fixed evaluation-count grid.
+
+`run_trial`, `parse_trace_csv`, `summarize`, `make_benchmark` and the three
+baseline `*_minimize` functions stay module-level names, looked up through
+this module on every call: `perfbench/tracer.py` times each layer by
+rebinding them from outside.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineConfig, es_bpop_minimize, fd_minimize, nesterov_minimize
-from .benchmarks import BENCHMARKS, make_benchmark, optimum_value
+from .benchmarks import BENCHMARKS, Objective, make_benchmark, optimum_value
 from .optimizer import AdaDgsConfig, adadgs_minimize
 from .trace import Trace
 
@@ -28,7 +33,11 @@ OPTIMIZERS = ("adadgs", "es_bpop", "nesterov", "fd")
 _OVERRIDES_READ = {"adadgs": (), "es_bpop": ("learning_rate", "sigma_or_h", "population"),
                    "nesterov": ("learning_rate", "sigma_or_h"),
                    "fd": ("learning_rate", "sigma_or_h")}
-PRESETS = ("paper-1000d",)
+# named starting configs; the paper's large-scale setting is used at every
+# dimension, with L_max at its default (the domain diagonal)
+PRESETS = {
+    "paper-1000d": AdaDgsConfig(M=5, gamma=0.0, S=200, contraction=0.9, sigma0_scale=5.0),
+}
 WORKERS_ENV = "ADADGS_WORKERS"
 N_CHECKPOINTS = 100
 
@@ -46,8 +55,11 @@ class ExperimentSpec:
     baseline_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        """Reject the spec before any output is written or any trial runs."""
         if self.function not in BENCHMARKS:
             raise ValueError(f"unknown function {self.function!r}")
+        if self.dim < 2:
+            raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for key in self.baseline_overrides:
@@ -58,6 +70,13 @@ class ExperimentSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
+        # the configs read only the domain, so no rotation is drawn
+        info = BENCHMARKS[self.function]
+        domain = Objective(info.fn, self.dim, (info.lower, info.upper))
+        if self.optimizer == "adadgs":
+            dataclasses.replace(self.adadgs, budget=self.budget).resolved(domain)
+        else:
+            default_baseline_config(self, domain).validate()
 
     @property
     def run_dir(self) -> Path:
@@ -144,8 +163,9 @@ def checkpoint_grid(budget: int, n: int = N_CHECKPOINTS) -> list[int]:
     return grid
 
 
-def summarize(traces: list[Trace], budget: int) -> dict:
-    """Mean/std of best loss across trials on an evaluation-count grid."""
+def summarize(traces: list[Trace], budget: int, optimum: float) -> dict:
+    """Mean/std of best loss across trials on an evaluation-count grid, and
+    the median over trials of (f_best[0] - optimum) / max(f_best[-1] - optimum, 1e-300)."""
     grid = checkpoint_grid(budget)
     rows = []
     for cp in grid:
@@ -157,6 +177,8 @@ def summarize(traces: list[Trace], budget: int) -> dict:
             "median_f_best": float(np.median(vals)),
         })
     final = np.array([tr.final.f_best for tr in traces])
+    reduction = [(tr.rows[0].f_best - optimum) / max(tr.final.f_best - optimum, 1e-300)
+                 for tr in traces]
     return {
         "checkpoints": rows,
         "final": {
@@ -165,6 +187,7 @@ def summarize(traces: list[Trace], budget: int) -> dict:
             "median_f_best": float(np.median(final)),
             "min_f_best": float(np.min(final)),
             "max_f_best": float(np.max(final)),
+            "median_reduction": float(np.median(reduction)),
         },
     }
 
@@ -186,6 +209,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """Run all trials, write per-trial CSVs plus summary and manifest."""
     spec.validate()
     workers = n_workers()
+    optimum = optimum_value(spec.function, spec.dim)
     run_dir = spec.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
 
@@ -196,7 +220,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "trials": spec.trials,
         "budget": spec.budget,
         "seed": spec.seed,
-        "optimum": optimum_value(spec.function, spec.dim),
+        "optimum": optimum,
         "adadgs_config": dataclasses.asdict(spec.adadgs),
         "baseline_overrides": dict(spec.baseline_overrides),
         "trial_seeds": {
@@ -214,7 +238,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         csv_texts.append(csv_text)
 
     traces = [parse_trace_csv(text) for text in csv_texts]
-    summary = summarize(traces, spec.budget)
+    summary = summarize(traces, spec.budget, optimum)
     _atomic_write(run_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     manifest["complete"] = True
     _atomic_write(run_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
@@ -233,14 +257,10 @@ def parse_trace_csv(text: str) -> Trace:
 
 
 def preset(name: str) -> AdaDgsConfig:
-    """Named hyper-parameter presets for the large-scale benchmark runs."""
-    if name == "paper-1000d":
-        # M=5, gamma=0 (exploration off), sigma0 = 5 * domain width,
-        # S=200 line-search points with contraction factor 0.9;
-        # L_max stays at its default (domain diagonal)
-        return AdaDgsConfig(M=5, gamma=0.0, S=200, contraction=0.9,
-                            sigma0_scale=5.0)
-    raise ValueError(f"unknown preset {name!r}")
+    """The named preset from PRESETS."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    return PRESETS[name]
 
 
 def list_functions() -> list[dict]:

@@ -9,11 +9,16 @@ current radius and the learned step, and re-randomize the direction frame
 
 `drive` is the one loop behind AdaDGS and the baselines; each of them
 supplies only its per-iteration step (see `drive` for the contract).
+
+`adadgs_step`, `random_rotation`, `dgs_gradient` and `line_search` stay
+module-level names, looked up through this module on every call:
+`perfbench/tracer.py` times each layer by rebinding them from outside.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,7 +29,6 @@ from .gradient import Frame, dgs_gradient, finite_samples, gauss_hermite_rule
 from .trace import Trace
 
 DEGENERATE_NORM = 1e-12
-_NEVER_RESET = -(10**9)
 
 
 @dataclass(frozen=True)
@@ -73,31 +77,32 @@ class AdaDgsConfig:
         if not 2 <= self.M <= 64:
             raise ValueError(f"M must be in 2..64 (the 1-point rule's only node "
                              f"is 0, so it samples nothing), got {self.M}")
+        if not np.isfinite(self.L_max):
+            raise ValueError(f"L_max must be finite, got {self.L_max}")
         if not (self.L_min is not None and 0 < self.L_min < self.L_max):
             raise ValueError(f"need 0 < L_min < L_max, got {self.L_min}, {self.L_max}")
         if self.S < 2:
             raise ValueError(f"S must be >= 2, got {self.S}")
-        if not self.sigma0 > 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not 0 < self.sigma0 < np.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.T_max is None and self.budget is None:
-            raise ValueError("need at least one of T_max, budget")
+        if self.reset_interval < 0:
+            raise ValueError(f"reset_interval must be >= 0, got {self.reset_interval}")
+        check_caps(self.T_max, self.budget)
 
     def stencil_size(self, d: int) -> int:
         return (self.M - self.M % 2) * d  # odd M: the zero node is skipped
 
 
-@dataclass
-class OptimizerState:
-    x: np.ndarray
-    sigma: float
-    frame: Frame
-    t: int
-    f_current: float
-    last_reset_t: int
-    rng: np.random.Generator
-    last_step: float = 0.0
+def check_caps(T_max, budget) -> None:
+    """Need T_max >= 0 iterations, a budget of >= 1 evaluation (f(x0)), or both."""
+    if T_max is None and budget is None:
+        raise ValueError("need at least one of T_max, budget")
+    if T_max is not None and T_max < 0:
+        raise ValueError(f"T_max must be >= 0, got {T_max}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
 
 
 class Iterate(NamedTuple):
@@ -199,32 +204,21 @@ def random_rotation(d: int, rng: np.random.Generator) -> Frame:
     return Frame(haar_rotation(d, rng))
 
 
-def adadgs_step(F, state: OptimizerState, cfg: AdaDgsConfig) -> OptimizerState:
-    """Advance the optimizer by one iteration (gradient + line search)."""
-    rule = gauss_hermite_rule(cfg.M)
-    grad = dgs_gradient(F, state.x, state.frame, state.sigma, rule)
+def adadgs_step(F, x, f, frame: Frame, sigma: float, cfg: AdaDgsConfig):
+    """One iteration at x, of value f: the DGS gradient on `frame` with
+    radius sigma, then the line search along it.
 
-    if not DEGENERATE_NORM < gradient_norm(grad.vector) < np.inf:
-        # no usable direction: stay put, and explore as if stalled
-        ls = LineSearchResult(None, 0.0, state.x, state.f_current)
-        sigma, stalled = state.sigma, True
-    else:
-        ls = line_search(F, state.x, grad.vector, cfg.L_max, cfg.L_min, cfg.S,
-                         f_x=state.f_current)
-        sigma = sigma_update(state.sigma, ls.step_distance)
-        rel_change = abs(ls.f_new - state.f_current) / max(abs(state.f_current), 1e-12)
-        stalled = rel_change < cfg.gamma
-
-    frame, last_reset = state.frame, state.last_reset_t
-    if stalled and state.t - state.last_reset_t >= cfg.reset_interval:
-        # re-randomize the frame and reset the radius
-        frame = random_rotation(state.x.shape[0], state.rng)
-        sigma, last_reset = cfg.sigma0, state.t
-
-    return dataclasses.replace(
-        state, x=ls.x_new, sigma=sigma, frame=frame, t=state.t + 1,
-        f_current=ls.f_new, last_reset_t=last_reset, last_step=ls.step_distance,
-    )
+    Returns (x_new, f_new, step, sigma_next, stalled); `stalled` is set when
+    the relative improvement is below gamma, or when the gradient gives no
+    usable direction, in which case x stays put and sigma is unchanged.
+    """
+    g = dgs_gradient(F, x, frame, sigma, gauss_hermite_rule(cfg.M))
+    if not DEGENERATE_NORM < gradient_norm(g) < np.inf:
+        return x, f, 0.0, sigma, True  # stay put, and explore as if stalled
+    ls = line_search(F, x, g, cfg.L_max, cfg.L_min, cfg.S, f_x=f)
+    rel_change = abs(ls.f_new - f) / max(abs(f), 1e-12)
+    return (ls.x_new, ls.f_new, ls.step_distance, sigma_update(sigma, ls.step_distance),
+            rel_change < cfg.gamma)
 
 
 def adadgs_minimize(F, x0, cfg: AdaDgsConfig) -> tuple[np.ndarray, float, Trace]:
@@ -232,7 +226,9 @@ def adadgs_minimize(F, x0, cfg: AdaDgsConfig) -> tuple[np.ndarray, float, Trace]
 
     The step is `adadgs_step`, driven by `drive`; an iteration is only
     started if its full evaluation cost (stencil + line search) fits in
-    the remaining budget.
+    the remaining budget. A stalled iteration re-randomizes the frame and
+    resets the radius to sigma0, unless the last reset was fewer than
+    `reset_interval` iterations ago.
     """
     x0 = np.asarray(x0, float)
     if not np.all(np.isfinite(x0)):
@@ -241,13 +237,13 @@ def adadgs_minimize(F, x0, cfg: AdaDgsConfig) -> tuple[np.ndarray, float, Trace]
     d = x0.shape[0]
     rng = np.random.default_rng(cfg.seed)
 
-    def iterations(x, f0):
-        state = OptimizerState(x=x, sigma=cfg.sigma0, frame=Frame.identity(d), t=0,
-                               f_current=f0, last_reset_t=_NEVER_RESET, rng=rng)
-        while True:
-            state = adadgs_step(F, state, cfg)
-            yield Iterate(state.f_current, state.sigma, state.last_step,
-                          state.x, state.f_current)
+    def iterations(x, f):
+        frame, sigma, last_reset = Frame.identity(d), cfg.sigma0, None
+        for t in itertools.count():
+            x, f, step, sigma, stalled = adadgs_step(F, x, f, frame, sigma, cfg)
+            if stalled and (last_reset is None or t - last_reset >= cfg.reset_interval):
+                frame, sigma, last_reset = random_rotation(d, rng), cfg.sigma0, t
+            yield Iterate(f, sigma, step, x, f)
 
     return drive(F, x0, cfg.sigma0, iterations, cfg.stencil_size(d) + cfg.S,
                  cfg.T_max, cfg.budget)

@@ -182,6 +182,10 @@ def test_all_nan_objective_raises(run, cfg, finite_at_start):
     dict(learning_rate=-0.1, sigma_or_h=0.1, T_max=1),
     dict(learning_rate=0.1, sigma_or_h=0.0, T_max=1),
     dict(learning_rate=0.1, sigma_or_h=0.1),
+    dict(learning_rate=0.1, sigma_or_h=0.1, budget=0),
+    dict(learning_rate=0.1, sigma_or_h=0.1, budget=-3),
+    dict(learning_rate=0.1, sigma_or_h=0.1, T_max=-2),
+    dict(learning_rate=0.1, sigma_or_h=0.1, T_max=1, population=7),
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from adadgs.benchmarks import (
     Lines,
     Objective,
     TransformedBenchmark,
-    eval_base,
     haar_rotation,
     make_benchmark,
     optimum_value,
@@ -32,6 +31,14 @@ DOMAINS = {
 }
 
 
+def base_value(name, z):
+    """The untransformed base function of a benchmark at z, one point or a batch."""
+    z = np.asarray(z, float)
+    if z.ndim == 1:
+        return float(BENCHMARKS[name].fn(z[None, :])[0])
+    return BENCHMARKS[name].fn(z)
+
+
 def test_registry_names_and_domains():
     assert set(BENCHMARKS) == set(DOMAINS)
     for name, (lo, hi) in DOMAINS.items():
@@ -43,41 +50,41 @@ def test_registry_names_and_domains():
 
 
 def test_rastrigin_zero():
-    assert eval_base("rastrigin", np.zeros(6)) == 0.0
+    assert base_value("rastrigin", np.zeros(6)) == 0.0
 
 
 def test_quintic_roots():
-    assert eval_base("quintic", np.array([-1.0, 2.0])) == pytest.approx(0.0, abs=1e-12)
+    assert base_value("quintic", np.array([-1.0, 2.0])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_alpine_hand_value():
     z = np.ones(10)
-    assert eval_base("alpine", z) == pytest.approx(10 * abs(np.sin(1.0) + 0.1), rel=1e-12)
-    assert eval_base("alpine", z) == pytest.approx(9.414709848, abs=1e-8)
+    assert base_value("alpine", z) == pytest.approx(10 * abs(np.sin(1.0) + 0.1), rel=1e-12)
+    assert base_value("alpine", z) == pytest.approx(9.414709848, abs=1e-8)
 
 
 def test_ackley_zero():
-    assert eval_base("ackley", np.zeros(4)) == pytest.approx(0.0, abs=1e-12)
+    assert base_value("ackley", np.zeros(4)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_styblinski_optimum_value():
     d = 10
     z = np.full(d, -2.903534)
-    assert eval_base("styblinski_tang", z) == pytest.approx(optimum_value("styblinski_tang", d), abs=1e-9)
+    assert base_value("styblinski_tang", z) == pytest.approx(optimum_value("styblinski_tang", d), abs=1e-9)
     assert optimum_value("styblinski_tang", d) == pytest.approx(-39.166 * d, abs=1e-3 * d)
 
 
 def test_trigonometric_optimum():
-    assert eval_base("trigonometric", np.full(7, 0.9)) == pytest.approx(1.0, abs=1e-12)
+    assert base_value("trigonometric", np.full(7, 0.9)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rosenbrock_at_ones():
-    assert eval_base("rosenbrock", np.ones(5)) == 0.0
+    assert base_value("rosenbrock", np.ones(5)) == 0.0
 
 
 def test_sharp_ridge_formula():
     z = np.array([2.0, 3.0, 4.0])
-    assert eval_base("sharp_ridge", z) == pytest.approx(4.0 + 100.0 * 5.0, rel=1e-12)
+    assert base_value("sharp_ridge", z) == pytest.approx(4.0 + 100.0 * 5.0, rel=1e-12)
 
 
 def test_schaffer_no_wraparound():
@@ -85,32 +92,30 @@ def test_schaffer_no_wraparound():
     z = np.array([0.0, 0.0, 3.0])
     s = [np.sqrt(0.0), np.sqrt(9.0)]
     expected = sum(np.sqrt(si) * (1 + np.sin(50 * si**0.2) ** 2) for si in s) ** 2 / 2
-    assert eval_base("schaffer_f7", z) == pytest.approx(expected, rel=1e-12)
+    assert base_value("schaffer_f7", z) == pytest.approx(expected, rel=1e-12)
 
 
 def test_wavy_value():
     z = np.zeros(3)
-    assert eval_base("wavy", z) == pytest.approx(0.0, abs=1e-12)
+    assert base_value("wavy", z) == pytest.approx(0.0, abs=1e-12)
     z = np.array([np.pi / 10])  # cos(10z) = cos(pi) = -1
     want = 1.0 + np.exp(-((np.pi / 10) ** 2) / 2)
-    assert eval_base("wavy", z) == pytest.approx(want, rel=1e-12)
+    assert base_value("wavy", z) == pytest.approx(want, rel=1e-12)
 
 
 def test_salomon_ring():
     # any z with |z| = 1 gives 1 - cos(2 pi) + 0.1 = 0.1
     z = np.array([0.6, 0.8])
-    assert eval_base("salomon", z) == pytest.approx(0.1, rel=1e-12)
+    assert base_value("salomon", z) == pytest.approx(0.1, rel=1e-12)
 
 
 def test_ellipsoidal_conditioning():
     z = np.zeros(11)
     z[-1] = 1.0
-    assert eval_base("ellipsoidal", z) == pytest.approx(1e6, rel=1e-12)
+    assert base_value("ellipsoidal", z) == pytest.approx(1e6, rel=1e-12)
 
 
 def test_unknown_name_rejected():
-    with pytest.raises(ValueError):
-        eval_base("sphere", np.zeros(2))
     with pytest.raises(ValueError):
         make_benchmark("sphere", 5, 0)
 
@@ -159,7 +164,7 @@ def test_identity_transform_equivalence(name):
     d = 7
     b = TransformedBenchmark(name, np.eye(d), np.zeros(d))
     X = np.random.default_rng(0).uniform(-2, 2, (40, d))
-    assert np.array_equal(b(X), eval_base(name, X))
+    assert np.array_equal(b(X), base_value(name, X))
 
 
 def test_identity_transform_shifted_minimizer():
@@ -168,7 +173,7 @@ def test_identity_transform_shifted_minimizer():
     d = 5
     b = TransformedBenchmark("rosenbrock", np.eye(d), np.zeros(d))
     X = np.random.default_rng(1).uniform(-2, 2, (20, d))
-    assert np.array_equal(b(X), eval_base("rosenbrock", X + 1.0))
+    assert np.array_equal(b(X), base_value("rosenbrock", X + 1.0))
 
 
 def test_non_separability_with_rotation():

@@ -1,11 +1,13 @@
+import importlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adadgs import cli, harness
-from adadgs.benchmarks import make_benchmark
+from adadgs.benchmarks import make_benchmark, optimum_value
 from adadgs.cli import main
 from adadgs.harness import (
     ExperimentSpec,
@@ -109,11 +111,51 @@ def test_summary_recomputable_from_csvs(tmp_path):
     summary = run_experiment(spec)
     traces = [parse_trace_csv((spec.run_dir / f"trial_{k}.csv").read_text())
               for k in range(spec.trials)]
-    recomputed = summarize(traces, spec.budget)
+    recomputed = summarize(traces, spec.budget, optimum_value("rastrigin", 5))
     for a, b in zip(summary["checkpoints"], recomputed["checkpoints"]):
         assert a["evals"] == b["evals"]
         assert abs(a["mean_f_best"] - b["mean_f_best"]) < 1e-12
         assert abs(a["std_f_best"] - b["std_f_best"]) < 1e-12
+
+
+@pytest.mark.parametrize("function", ["rastrigin", "styblinski_tang"])
+def test_median_reduction_recomputable_from_csvs(tmp_path, function):
+    # styblinski_tang's optimum value is -39.166*d, not 0
+    spec = small_spec(tmp_path, function=function)
+    summary = run_experiment(spec)
+    f_star = optimum_value(function, spec.dim)
+    ratios = []
+    for k in range(spec.trials):
+        rows = (spec.run_dir / f"trial_{k}.csv").read_text().splitlines()[1:]
+        first, last = (float(row.split(",")[4]) for row in (rows[0], rows[-1]))
+        ratios.append((first - f_star) / max(last - f_star, 1e-300))
+    assert summary["final"]["median_reduction"] == float(np.median(ratios))
+    saved = json.loads((spec.run_dir / "summary.json").read_text())
+    assert saved["final"]["median_reduction"] == float(np.median(ratios))
+
+
+def test_perfbench_tracer_reaches_every_layer(tmp_path, monkeypatch):
+    # perfbench/tracer.py times each layer by rebinding module-level names
+    # of adadgs; a rename or an inlined call would silently drop its spans
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delenv("ADADGS_WORKERS", raising=False)
+    tracer = importlib.import_module("tracer").Tracer()
+    specs = [small_spec(tmp_path, dim=6, trials=2, budget=2000),
+             small_spec(tmp_path, dim=6, trials=1, budget=600, optimizer="es_bpop")]
+    with tracer.install():
+        for spec in specs:
+            run_experiment(spec)
+    assert {"optimizer.step", "optimizer.reset", "optimizer.line_search", "gradient.dgs",
+            "gradient.stencil", "benchmarks.objective", "benchmarks.base_fn",
+            "benchmarks.make", "baselines.trial", "harness.trial", "trace.to_csv",
+            "harness.parse", "harness.summarize"} <= set(tracer.names)
+
+    csvs = [(spec.run_dir / f"trial_{k}.csv").read_text().splitlines()
+            for spec in specs for k in range(spec.trials)]
+    adadgs_iterations = sum(len(csv) - 2 for csv in csvs[:2])  # less header and f(x0)
+    assert tracer.names.count("optimizer.step") == adadgs_iterations
+    assert [tracer.trial_points[k] for k in range(3)] == [
+        int(csv[-1].split(",")[2]) for csv in csvs]
 
 
 def test_trial_seeds_deterministic_and_distinct():
@@ -194,8 +236,12 @@ def test_cli_list(capsys):
 
 
 def test_cli_presets(capsys):
+    # each preset is listed with the fields that differ from AdaDgsConfig()
     assert main(["presets"]) == 0
-    assert "paper-1000d" in capsys.readouterr().out
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("paper-1000d: ")
+    fields = set(line.split(": ", 1)[1].split(", "))
+    assert fields == {"S=200", "sigma0_scale=5.0", "gamma=0.0", "contraction=0.9"}
 
 
 def test_cli_run_and_errors(tmp_path, capsys):
@@ -209,6 +255,18 @@ def test_cli_run_and_errors(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "wavy_4_adadgs" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("args,named", [
+    (["--dim", "1"], "dim must be >= 2"),
+    (["--dim", "3", "--gh-points", "1"], "1-point rule"),
+    (["--dim", "3", "--reset-interval", "-4"], "reset_interval"),
+], ids=["dim-1", "gh-points-1", "reset-interval"])
+def test_cli_invalid_run_is_an_error_before_any_output(tmp_path, capsys, args, named):
+    assert main(["run", "--func", "ackley", "--optimizer", "adadgs", "--trials", "2",
+                 "--budget", "300", "--out", str(tmp_path), *args]) == 1
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_missing_required(capsys):
@@ -283,9 +341,11 @@ def test_cli_config_unknown_key_or_section_is_an_error(tmp_path, capsys, text, n
     ("--learning-rate", "0"), ("--sigma-or-h", "0"), ("--population", "7"),
 ])
 def test_cli_baseline_override_is_used_as_given(tmp_path, capsys, flag, value):
-    # an explicit invalid value is rejected, not replaced by the default
+    # an explicit invalid value is rejected, not replaced by the default,
+    # before any output is written
     assert main(run_args(tmp_path, flag, value, optimizer="es_bpop")) == 1
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "ellipsoidal_3_es_bpop").exists()
 
 
 @pytest.mark.parametrize("optimizer,flag,value,key", [

@@ -9,7 +9,6 @@ from adadgs.gradient import Frame
 from adadgs.optimizer import (
     AdaDgsConfig,
     Iterate,
-    OptimizerState,
     adadgs_minimize,
     adadgs_step,
     drive,
@@ -20,17 +19,26 @@ from adadgs.optimizer import (
 
 
 def sphere(d, width=10.0):
-    return Objective(lambda X: np.sum(X**2, axis=1), d, (-width, width), label="sphere")
+    return Objective(lambda X: np.sum(X**2, axis=1), d, (-width, width))
 
 
-def make_state(x, sigma, F, rng_seed=0, **kw):
-    f0 = F(x)
-    defaults = dict(
-        x=np.asarray(x, float), sigma=sigma, frame=Frame.identity(len(x)), t=0,
-        f_current=f0, last_reset_t=-(10**9), rng=np.random.default_rng(rng_seed),
-    )
-    defaults.update(kw)
-    return OptimizerState(**defaults)
+class StencilRecorder(Objective):
+    """An Objective that keeps every DGS stencil it evaluates (a `Lines`
+    batch with one direction per dimension), so a test can see the frame
+    and the iterate of each iteration from outside the optimizer."""
+
+    def __init__(self, fn, dim, bounds):
+        super().__init__(fn, dim, bounds)
+        self.stencils = []
+
+    def _eval_lines(self, lines):
+        if lines.directions.shape[0] == self.dim:
+            self.stencils.append(lines)
+        return super()._eval_lines(lines)
+
+    @property
+    def frames(self):
+        return [lines.directions for lines in self.stencils]
 
 
 # --- line search -------------------------------------------------------------
@@ -192,84 +200,84 @@ def test_step_decreases_quadratic():
     A = A @ A.T + np.eye(d)
     F = Objective(lambda X: 0.5 * np.einsum("ni,ij,nj->n", X, A, X), d, (-5, 5))
     cfg = resolved(F, M=5)
-    state = make_state(rng.normal(size=d) * 3, cfg.sigma0, F)
+    x = rng.normal(size=d) * 3
+    f, sigma, frame = F(x), cfg.sigma0, Frame.identity(d)
     for _ in range(15):
-        new = adadgs_step(F, state, cfg)
-        assert new.f_current <= state.f_current
-        assert new.sigma > 0
-        state = new
-    assert state.f_current < 1e-2 * F(np.full(d, 3.0))
+        x, f_new, _, sigma, _ = adadgs_step(F, x, f, frame, sigma, cfg)
+        assert f_new <= f
+        assert sigma > 0
+        f = f_new
+    assert f < 1e-2 * F(np.full(d, 3.0))
 
 
 def tilted_plateau(d, slope=1e-9):
     # almost flat with a tiny usable gradient: the line search improves by
     # a sub-gamma relative amount every step, exercising the gamma trigger
-    return Objective(lambda X: 1.0 + slope * X[:, 0], d, (-1, 1))
+    return StencilRecorder(lambda X: 1.0 + slope * X[:, 0], d, (-1, 1))
+
+
+def minimize(F, x0, T_max, **kw):
+    """Run T_max iterations; F.frames[t] is the frame iteration t ran on,
+    so F.frames[t + 1] shows whether iteration t reset it."""
+    cfg = AdaDgsConfig(T_max=T_max, **kw)
+    _, _, trace = adadgs_minimize(F, x0, cfg)
+    assert len(F.stencils) == T_max
+    return cfg.resolved(F), list(trace)
 
 
 def test_gamma_zero_never_triggers():
     F = tilted_plateau(3)
-    cfg = resolved(F, gamma=0.0)
-    state = make_state(np.zeros(3), cfg.sigma0, F)
-    for _ in range(5):
-        state = adadgs_step(F, state, cfg)
+    _, rows = minimize(F, np.zeros(3), 6, gamma=0.0)
     # improvement is minuscule every step, yet the frame never rotates
-    assert np.array_equal(state.frame.matrix, np.eye(3))
-    assert state.last_reset_t == -(10**9)
+    assert all(np.array_equal(frame, np.eye(3)) for frame in F.frames)
+    # and the radius is never reset: every one is the mean of the last and the step
+    assert all(b.sigma == sigma_update(a.sigma, b.step) for a, b in zip(rows, rows[1:]))
 
 
 def test_stall_triggers_rotation_and_reset():
     F = tilted_plateau(3)
-    cfg = resolved(F, gamma=0.001)
-    state = make_state(np.zeros(3), cfg.sigma0, F)
-    new = adadgs_step(F, state, cfg)
-    assert not np.array_equal(new.frame.matrix, np.eye(3))
-    assert new.sigma == cfg.sigma0
-    assert new.last_reset_t == 0
+    cfg, rows = minimize(F, np.zeros(3), 2, gamma=0.001)
+    assert not np.array_equal(F.frames[1], np.eye(3))
+    assert rows[1].sigma == cfg.sigma0
 
 
 def test_reset_interval_guard():
     F = tilted_plateau(2)
-    cfg = resolved(F, gamma=0.001, reset_interval=10)
-    state = make_state(np.zeros(2), cfg.sigma0, F)
-    state = adadgs_step(F, state, cfg)  # reset fires at t=0
-    frame_after_reset = state.frame.matrix.copy()
-    for _ in range(9):  # t = 1..9: within the guard window
-        state = adadgs_step(F, state, cfg)
-    assert np.array_equal(state.frame.matrix, frame_after_reset)
-    assert state.last_reset_t == 0
-    state = adadgs_step(F, state, cfg)  # t = 10: guard satisfied
-    assert state.sigma == cfg.sigma0
-    assert state.last_reset_t == 10
-    assert not np.array_equal(state.frame.matrix, frame_after_reset)
+    cfg, rows = minimize(F, np.zeros(2), 12, gamma=0.001, reset_interval=10)
+    frames = F.frames
+    # a reset fires at the first iteration (t = 0) ...
+    assert not np.array_equal(frames[1], np.eye(2))
+    assert rows[1].sigma == cfg.sigma0
+    # ... and none at t = 1..9, within the guard window
+    assert all(np.array_equal(frame, frames[1]) for frame in frames[2:11])
+    assert all(r.sigma != cfg.sigma0 for r in rows[2:11])
+    # at t = 10 the guard is satisfied
+    assert rows[11].sigma == cfg.sigma0
+    assert not np.array_equal(frames[11], frames[1])
 
 
 def test_degenerate_gradient_explores_without_moving():
-    F = Objective(lambda X: np.full(X.shape[0], 5.0), 3, (-1, 1))
-    cfg = resolved(F, gamma=0.0)
-    state = make_state(np.ones(3), cfg.sigma0, F)
-    evals_before = F.evals
-    new = adadgs_step(F, state, cfg)
-    assert np.array_equal(new.x, state.x)
-    assert new.sigma == cfg.sigma0
-    assert not np.array_equal(new.frame.matrix, np.eye(3))
+    F = StencilRecorder(lambda X: np.full(X.shape[0], 5.0), 3, (-1, 1))
+    cfg, rows = minimize(F, np.ones(3), 2, gamma=0.0)
+    assert np.array_equal(F.stencils[1].origin, np.ones(3))
+    assert rows[1].step == 0.0
+    assert rows[1].sigma == cfg.sigma0
+    assert not np.array_equal(F.frames[1], np.eye(3))
     # only the stencil was evaluated; the line search was skipped
-    assert F.evals - evals_before == cfg.stencil_size(3)
+    assert rows[1].evals - rows[0].evals == cfg.stencil_size(3)
 
 
 def test_overflowing_gradient_norm_is_degenerate():
     # every sample is finite and g = (1e160, 1e160, 1e160), but ||g||^2 =
     # 3e320 overflows: the step must take the degenerate path, not run a
     # line search along g/inf = 0
-    F = Objective(lambda X: 1e160 * np.sum(X, axis=1), 3, (-1, 1))
-    cfg = resolved(F, gamma=0.0)
-    state = make_state(np.ones(3), cfg.sigma0, F)
-    evals_before = F.evals
-    new = adadgs_step(F, state, cfg)
-    assert np.array_equal(new.x, state.x)
-    assert new.sigma == cfg.sigma0
-    assert new.last_reset_t == state.t
-    assert F.evals - evals_before == cfg.stencil_size(3)
+    F = StencilRecorder(lambda X: 1e160 * np.sum(X, axis=1), 3, (-1, 1))
+    cfg, rows = minimize(F, np.ones(3), 2, gamma=0.0)
+    assert np.array_equal(F.stencils[1].origin, np.ones(3))
+    assert rows[1].sigma == cfg.sigma0
+    # the reset fired at the first iteration
+    assert not np.array_equal(F.frames[1], np.eye(3))
+    assert rows[1].evals - rows[0].evals == cfg.stencil_size(3)
 
 
 def test_radius_update_uses_step_distance():
@@ -277,11 +285,12 @@ def test_radius_update_uses_step_distance():
     F = sphere(4)
     x = np.random.default_rng(8).normal(size=4)
     cfg = resolved(F)
-    state = make_state(x, cfg.sigma0, F)
-    new = adadgs_step(F, state, cfg)
-    assert new.last_step > 0.0
-    assert new.last_step == pytest.approx(np.linalg.norm(new.x - x), rel=1e-12)
-    assert new.sigma == sigma_update(cfg.sigma0, new.last_step)
+    x_new, _, step, sigma, stalled = adadgs_step(F, x, F(x), Frame.identity(4),
+                                                 cfg.sigma0, cfg)
+    assert step > 0.0
+    assert step == pytest.approx(np.linalg.norm(x_new - x), rel=1e-12)
+    assert sigma == sigma_update(cfg.sigma0, step)
+    assert not stalled
 
 
 # --- full minimize -----------------------------------------------------------
@@ -410,11 +419,13 @@ def test_config_contraction_sets_lmin():
 @pytest.mark.parametrize("bad", [
     dict(S=1), dict(gamma=-0.1), dict(sigma0=-1.0), dict(M=0),
     dict(L_min=5.0, L_max=1.0), dict(M=1),
+    dict(budget=0), dict(budget=-3), dict(T_max=-2), dict(reset_interval=-5),
+    dict(sigma0=np.inf), dict(L_max=np.inf, L_min=1.0),
 ])
 def test_config_validation(bad):
     F = sphere(3)
     with pytest.raises(ValueError):
-        AdaDgsConfig(T_max=1, **bad).resolved(F)
+        AdaDgsConfig(**{"T_max": 1, **bad}).resolved(F)
 
 
 def test_one_point_rule_rejected_before_any_evaluation():
@@ -422,6 +433,14 @@ def test_one_point_rule_rejected_before_any_evaluation():
     F = sphere(3)
     with pytest.raises(ValueError, match="1-point rule"):
         adadgs_minimize(F, np.ones(3), AdaDgsConfig(M=1, T_max=2))
+    assert F.evals == 0
+
+
+def test_unbounded_domain_is_rejected_before_any_evaluation():
+    # sigma0 defaults to a multiple of the domain width, here inf
+    F = Objective(lambda X: np.sum(X**2, axis=1), 3, (-np.inf, np.inf))
+    with pytest.raises(ValueError, match="sigma0"):
+        adadgs_minimize(F, np.ones(3), AdaDgsConfig(L_max=4.0, budget=100))
     assert F.evals == 0
 
 
