@@ -34,8 +34,9 @@ class BaselineConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not self.sigma_or_h > 0:
             raise ValueError(f"sigma_or_h must be positive, got {self.sigma_or_h}")
-        if self.population is not None and (self.population < 2 or self.population % 2):
-            raise ValueError(f"population must be a positive even integer, got {self.population}")
+        pop = self.population
+        if pop is not None and (not isinstance(pop, (int, np.integer)) or pop < 2 or pop % 2):
+            raise ValueError(f"population must be a positive even integer, got {pop}")
         check_caps(self.T_max, self.budget)
 
 

@@ -1,22 +1,20 @@
 """Command-line interface: run experiments, list functions and presets.
 
-Configuration precedence: built-in defaults < preset < config file < CLI
-flags. The config file is INI-style with [experiment], [adadgs] and
-[baseline] sections whose keys mirror the long CLI flags; an unknown
-section or key is an error.
+Configuration precedence: built-in defaults < preset < CLI flags. A
+malformed command line (a missing, unknown or wrongly typed flag) exits
+with status 2; a well-formed run that is invalid or fails exits with 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import sys
 
 from .harness import OPTIMIZERS, PRESETS, ExperimentSpec, list_functions, preset, run_experiment
 from .optimizer import AdaDgsConfig
 
-# flag/INI key -> (field it sets, parser); the flag is --key with "_" -> "-"
+# flag -> (field it sets, parser); the flag is --key with "_" -> "-"
 _ADADGS_FIELDS = {  # AdaDgsConfig fields
     "gh_points": ("M", int),
     "lmax": ("L_max", float),
@@ -33,9 +31,6 @@ _BASELINE_FIELDS = {  # BaselineConfig fields, kept as ExperimentSpec.baseline_o
     "sigma_or_h": ("sigma_or_h", float),
     "population": ("population", int),
 }
-_EXPERIMENT_KEYS = ("func", "dim", "optimizer", "trials", "budget", "seed", "out", "preset")
-_SECTIONS = {"experiment": _EXPERIMENT_KEYS, "adadgs": _ADADGS_FIELDS,
-             "baseline": _BASELINE_FIELDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,18 +38,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a multi-trial benchmark experiment")
-    run.add_argument("--func", help="benchmark function name")
-    run.add_argument("--dim", type=int, help="problem dimension")
-    run.add_argument("--optimizer", choices=OPTIMIZERS)
-    run.add_argument("--trials", type=int)
-    run.add_argument("--budget", type=int, help="evaluation budget per trial")
-    run.add_argument("--seed", type=int, help="master seed")
-    run.add_argument("--out", help="output directory")
-    run.add_argument("--config", help="INI config file; CLI flags override it")
+    run.add_argument("--func", required=True, help="benchmark function name")
+    run.add_argument("--dim", type=int, required=True, help="problem dimension")
+    run.add_argument("--optimizer", choices=OPTIMIZERS, required=True)
+    run.add_argument("--trials", type=int, default=20)
+    run.add_argument("--budget", type=int, required=True, help="evaluation budget per trial")
+    run.add_argument("--seed", type=int, default=0, help="master seed")
+    run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--preset", choices=PRESETS)
-    for section in ("adadgs", "baseline"):
+    for section, table in (("adadgs", _ADADGS_FIELDS), ("baseline", _BASELINE_FIELDS)):
         group = run.add_argument_group(f"{section} options")
-        for key, (fld, parse) in _SECTIONS[section].items():
+        for key, (fld, parse) in table.items():
             group.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
                                help=f"sets {fld}")
 
@@ -63,53 +57,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read_config_file(path: str) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file not found: {path}")
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ValueError(f"{path}: unknown section [{section}]; "
-                             f"expected one of {', '.join(_SECTIONS)}")
-        for key in parser[section]:
-            if key not in _SECTIONS[section]:
-                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-    return {section: dict(parser[section]) for section in parser.sections()}
-
-
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    file_cfg = _read_config_file(args.config) if args.config else {}
+    """The preset, if one is named, with the flags that were given on top."""
 
-    def pick(key, parse, section="experiment", required=False, default=None):
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            return parse(cli_val)
-        if key in file_cfg.get(section, {}):
-            try:
-                return parse(file_cfg[section][key])
-            except ValueError as exc:
-                raise ValueError(f"{args.config}: [{section}] {key}: {exc}") from exc
-        if required:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        return default
+    def given(table):
+        return {fld: getattr(args, key) for key, (fld, _) in table.items()
+                if getattr(args, key) is not None}
 
-    def given(section):
-        picked = {fld: pick(key, parse, section)
-                  for key, (fld, parse) in _SECTIONS[section].items()}
-        return {fld: val for fld, val in picked.items() if val is not None}
-
-    preset_name = pick("preset", str)
-    ada_cfg = preset(preset_name) if preset_name else AdaDgsConfig()
+    ada_cfg = preset(args.preset) if args.preset else AdaDgsConfig()
     return ExperimentSpec(
-        function=pick("func", str, required=True),
-        dim=pick("dim", int, required=True),
-        optimizer=pick("optimizer", str, required=True),
-        budget=pick("budget", int, required=True),
-        trials=pick("trials", int, default=20),
-        seed=pick("seed", int, default=0),
-        out_dir=pick("out", str, default="results"),
-        adadgs=dataclasses.replace(ada_cfg, **given("adadgs")),
-        baseline_overrides=given("baseline"),
+        function=args.func,
+        dim=args.dim,
+        optimizer=args.optimizer,
+        budget=args.budget,
+        trials=args.trials,
+        seed=args.seed,
+        out_dir=args.out,
+        adadgs=dataclasses.replace(ada_cfg, **given(_ADADGS_FIELDS)),
+        baseline_overrides=given(_BASELINE_FIELDS),
     )
 
 
@@ -152,7 +117,7 @@ def main(argv=None) -> int:
         if args.command == "list":
             return cmd_list()
         return cmd_presets()
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

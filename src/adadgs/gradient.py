@@ -77,12 +77,6 @@ class Frame:
     def identity(d: int) -> "Frame":
         return Frame(np.eye(d))
 
-    def check(self, tol: float = 1e-10) -> None:
-        G = self.matrix @ self.matrix.T
-        err = np.max(np.abs(G - np.eye(self.dim)))
-        if err > tol:
-            raise ValueError(f"frame not orthonormal: max deviation {err:.3e}")
-
 
 class SampledGradient(NamedTuple):
     """A gradient estimate with the points it sampled and their values."""

@@ -74,18 +74,18 @@ class AdaDgsConfig:
         return cfg
 
     def validate(self) -> None:
-        if not 2 <= self.M <= 64:
-            raise ValueError(f"M must be in 2..64 (the 1-point rule's only node "
-                             f"is 0, so it samples nothing), got {self.M}")
+        if not (isinstance(self.M, (int, np.integer)) and 2 <= self.M <= 64):
+            raise ValueError(f"M must be an integer in 2..64 (the 1-point rule's only "
+                             f"node is 0, so it samples nothing), got {self.M}")
         if not np.isfinite(self.L_max):
             raise ValueError(f"L_max must be finite, got {self.L_max}")
         if not (self.L_min is not None and 0 < self.L_min < self.L_max):
             raise ValueError(f"need 0 < L_min < L_max, got {self.L_min}, {self.L_max}")
-        if self.S < 2:
-            raise ValueError(f"S must be >= 2, got {self.S}")
+        if not (isinstance(self.S, (int, np.integer)) and self.S >= 2):
+            raise ValueError(f"S must be an integer >= 2, got {self.S}")
         if not 0 < self.sigma0 < np.inf:
             raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:  # NaN included: it would turn the stall test off
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.reset_interval < 0:
             raise ValueError(f"reset_interval must be >= 0, got {self.reset_interval}")

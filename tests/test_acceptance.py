@@ -238,8 +238,8 @@ def test_criterion_8_invariant_battery():
     # frame orthonormality after random rotation
     for _ in range(250):
         d = int(rng.integers(1, 31))
-        frame = random_rotation(d, rng)
-        frame.check()
+        M = random_rotation(d, rng).matrix
+        assert np.max(np.abs(M @ M.T - np.eye(d))) <= 1e-10
         cases += 1
 
     # sigma update stays positive and between its operands

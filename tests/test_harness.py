@@ -261,7 +261,8 @@ def test_cli_run_and_errors(tmp_path, capsys):
     (["--dim", "1"], "dim must be >= 2"),
     (["--dim", "3", "--gh-points", "1"], "1-point rule"),
     (["--dim", "3", "--reset-interval", "-4"], "reset_interval"),
-], ids=["dim-1", "gh-points-1", "reset-interval"])
+    (["--dim", "3", "--gamma", "nan"], "gamma"),
+], ids=["dim-1", "gh-points-1", "reset-interval", "gamma-nan"])
 def test_cli_invalid_run_is_an_error_before_any_output(tmp_path, capsys, args, named):
     assert main(["run", "--func", "ackley", "--optimizer", "adadgs", "--trials", "2",
                  "--budget", "300", "--out", str(tmp_path), *args]) == 1
@@ -269,38 +270,35 @@ def test_cli_invalid_run_is_an_error_before_any_output(tmp_path, capsys, args, n
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_missing_required(capsys):
-    assert main(["run", "--func", "ackley"]) == 1
+def test_cli_missing_required(tmp_path, capsys):
+    # a malformed command line is argparse's usage error: status 2, naming the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--func", "ackley"])
+    assert exc.value.code == 2
     assert "--dim" in capsys.readouterr().err
 
+    base = ["run", "--func", "ellipsoidal", "--optimizer", "es_bpop", "--trials", "1",
+            "--budget", "60", "--out", str(tmp_path)]
+    for extra, named in [
+        (["--dim", "three"], "--dim"),
+        (["--dim", "3", "--gh-points", "3.5"], "--gh-points"),
+        (["--dim", "3", "--learning-rate", "fast"], "--learning-rate"),
+        (["--dim", "3", "--config", "x.ini"], "unrecognized arguments: --config"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
-def test_cli_config_file_and_override(tmp_path, capsys):
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(
-        "[experiment]\n"
-        "func = rastrigin\n"
-        "dim = 4\n"
-        "optimizer = adadgs\n"
-        "budget = 300\n"
-        "trials = 2\n"
-        "seed = 5\n"
-        f"out = {tmp_path / 'from_file'}\n"
-        "[adadgs]\n"
-        "gamma = 0.0\n"
-        "gh_points = 3\n"
-    )
-    assert main(["run", "--config", str(cfg)]) == 0
-    manifest = json.loads(
-        (tmp_path / "from_file" / "rastrigin_4_adadgs" / "manifest.json").read_text())
-    assert manifest["adadgs_config"]["M"] == 3
-    assert manifest["adadgs_config"]["gamma"] == 0.0
 
-    # CLI flag overrides the file value
-    assert main(["run", "--config", str(cfg), "--gh-points", "4",
-                 "--out", str(tmp_path / "cli_wins")]) == 0
-    manifest = json.loads(
-        (tmp_path / "cli_wins" / "rastrigin_4_adadgs" / "manifest.json").read_text())
-    assert manifest["adadgs_config"]["M"] == 4
+def test_cli_output_directory_that_cannot_be_made_is_an_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(run_args(blocker / "x")) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and str(blocker) in lines[0]
 
 
 def test_cli_preset_flag(tmp_path):
@@ -320,21 +318,6 @@ def run_args(tmp_path, *extra, optimizer="adadgs"):
 
 def read_manifest(tmp_path, optimizer="adadgs"):
     return json.loads((tmp_path / f"ellipsoidal_3_{optimizer}" / "manifest.json").read_text())
-
-
-@pytest.mark.parametrize("text,named", [
-    ("[experiment]\nfunc = ellipsoidal\n[adadgs]\ngh_point = 3\n", "'gh_point' in [adadgs]"),
-    ("[experiment]\nfunc = ellipsoidal\nfunction = ackley\n", "'function' in [experiment]"),
-    ("[baseline]\nmethod = fd\n", "'method' in [baseline]"),
-    ("[experiment]\nfunc = ellipsoidal\n[adadgs_options]\ngamma = 0\n", "[adadgs_options]"),
-], ids=["adadgs-key", "experiment-key", "baseline-key", "section"])
-def test_cli_config_unknown_key_or_section_is_an_error(tmp_path, capsys, text, named):
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(text)
-    assert main(run_args(tmp_path, "--config", str(cfg))) == 1
-    err = capsys.readouterr().err
-    assert "unknown" in err and named in err
-    assert not (tmp_path / "ellipsoidal_3_adadgs").exists()
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -361,24 +344,8 @@ def test_cli_baseline_flag_the_optimizer_never_reads_is_an_error(
     assert not (tmp_path / f"ellipsoidal_3_{optimizer}").exists()
 
 
-@pytest.mark.parametrize("text,named", [
-    ("[experiment]\ndim = three\n", "[experiment] dim: invalid literal for int()"),
-    ("[experiment]\ndim = 3\n[adadgs]\ngh_points = 3.5\n",
-     "[adadgs] gh_points: invalid literal for int()"),
-    ("[experiment]\ndim = 3\n[baseline]\nlearning_rate = fast\n",
-     "[baseline] learning_rate: could not convert string to float"),
-], ids=["experiment-int", "adadgs-int", "baseline-float"])
-def test_cli_config_value_of_wrong_type_names_its_key(tmp_path, capsys, text, named):
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(text)
-    assert main(["run", "--func", "ellipsoidal", "--optimizer", "es_bpop", "--trials", "1",
-                 "--budget", "60", "--out", str(tmp_path), "--config", str(cfg)]) == 1
-    assert f"error: {cfg}: {named}" in capsys.readouterr().err
-    assert not (tmp_path / "ellipsoidal_3_es_bpop").exists()
-
-
-# Every adadgs and baseline flag, its INI key and the field it sets: the
-# flag names are the public interface, so they are spelled out here.
+# Every adadgs and baseline flag and the field it sets: the flag names are
+# the public interface, so they are spelled out here.
 FLAGS = {
     "--gh-points": ("adadgs", "M", "4"),
     "--lmax": ("adadgs", "L_max", "3.5"),
@@ -412,8 +379,3 @@ def test_cli_flag_and_ini_key_set_their_field(tmp_path, flag):
 
     assert main(run_args(tmp_path / "flag", flag, value, optimizer=optimizer)) == 0
     assert read_manifest(tmp_path / "flag", optimizer)[record][fld] == expected
-
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(f"[{section}]\n{flag[2:].replace('-', '_')} = {value}\n")
-    assert main(run_args(tmp_path / "ini", "--config", str(cfg), optimizer=optimizer)) == 0
-    assert read_manifest(tmp_path / "ini", optimizer)[record][fld] == expected

@@ -421,6 +421,7 @@ def test_config_contraction_sets_lmin():
     dict(L_min=5.0, L_max=1.0), dict(M=1),
     dict(budget=0), dict(budget=-3), dict(T_max=-2), dict(reset_interval=-5),
     dict(sigma0=np.inf), dict(L_max=np.inf, L_min=1.0),
+    dict(M=2.5), dict(S=12.5), dict(gamma=np.nan),
 ])
 def test_config_validation(bad):
     F = sphere(3)

@@ -72,7 +72,6 @@ def test_random_rotation_orthonormal(d, seed):
     R = frame.matrix
     assert np.max(np.abs(R @ R.T - np.eye(d))) < 1e-10
     assert abs(abs(np.linalg.det(R)) - 1.0) < 1e-8
-    frame.check()  # raises on any loss of orthonormality
 
 
 @settings(max_examples=200, deadline=None)
