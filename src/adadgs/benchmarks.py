@@ -8,6 +8,7 @@ minimizer, so the global optimum sits at x_opt regardless of rotation.
 
 from __future__ import annotations
 
+import contextlib
 import select
 import shlex
 import subprocess
@@ -341,12 +342,16 @@ class SubprocessObjective(Objective):
         return out
 
     def close(self):
-        if self._proc.poll() is None:
+        """Close both pipes and reap the worker, killing it if it has not
+        exited 5 s after its stdin closed."""
+        with contextlib.suppress(BrokenPipeError):  # the worker may be gone
             self._proc.stdin.close()
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -11,7 +11,8 @@ import argparse
 import dataclasses
 import sys
 
-from .harness import OPTIMIZERS, PRESETS, ExperimentSpec, list_functions, preset, run_experiment
+from .harness import (FIELDS_READ, OPTIMIZERS, PRESETS, ExperimentSpec, list_functions,
+                      preset, run_experiment)
 from .optimizer import AdaDgsConfig
 
 # flag -> (field it sets, parser); the flag is --key with "_" -> "-"
@@ -58,12 +59,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    """The preset, if one is named, with the flags that were given on top."""
+    """The preset, if one is named, with the flags that were given on top. An
+    AdaDGS flag the optimizer never reads is an error; `--preset` is not."""
 
     def given(table):
         return {fld: getattr(args, key) for key, (fld, _) in table.items()
                 if getattr(args, key) is not None}
 
+    for key, (fld, _) in _ADADGS_FIELDS.items():
+        if getattr(args, key) is not None and fld not in FIELDS_READ[args.optimizer]:
+            raise ValueError(f"optimizer {args.optimizer!r} does not read "
+                             f"--{key.replace('_', '-')} (field {fld!r})")
     ada_cfg = preset(args.preset) if args.preset else AdaDgsConfig()
     return ExperimentSpec(
         function=args.func,

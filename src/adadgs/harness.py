@@ -5,6 +5,9 @@ and initial point from seeds derived deterministically from the master
 seed, runs the chosen optimizer, and writes one CSV. A summary aggregates
 best-loss statistics across trials on a fixed evaluation-count grid.
 
+`run_config` is the one place a run's optimizer config is built: resolved
+against the function's domain and validated. `manifest.json` records it.
+
 `run_trial`, `parse_trace_csv`, `summarize`, `make_benchmark` and the three
 baseline `*_minimize` functions stay module-level names, looked up through
 this module on every call: `perfbench/tracer.py` times each layer by
@@ -29,10 +32,13 @@ from .optimizer import AdaDgsConfig, adadgs_minimize
 from .trace import Trace
 
 OPTIMIZERS = ("adadgs", "es_bpop", "nesterov", "fd")
-# the baseline_overrides keys each optimizer reads
-_OVERRIDES_READ = {"adadgs": (), "es_bpop": ("learning_rate", "sigma_or_h", "population"),
-                   "nesterov": ("learning_rate", "sigma_or_h"),
-                   "fd": ("learning_rate", "sigma_or_h")}
+# the config fields each optimizer reads besides budget and seed; es_bpop
+# reads M for its default population M*d
+FIELDS_READ = {"adadgs": ("M", "L_max", "L_min", "S", "sigma0", "sigma0_scale", "gamma",
+                          "contraction", "reset_interval"),
+               "es_bpop": ("M", "learning_rate", "sigma_or_h", "population"),
+               "nesterov": ("learning_rate", "sigma_or_h"),
+               "fd": ("learning_rate", "sigma_or_h")}
 # named starting configs; the paper's large-scale setting is used at every
 # dimension, with L_max at its default (the domain diagonal)
 PRESETS = {
@@ -54,29 +60,27 @@ class ExperimentSpec:
     adadgs: AdaDgsConfig = field(default_factory=AdaDgsConfig)
     baseline_overrides: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
-        """Reject the spec before any output is written or any trial runs."""
+    def validate(self) -> AdaDgsConfig | BaselineConfig:
+        """Reject the spec before any output is written; return its `run_config`."""
         if self.function not in BENCHMARKS:
             raise ValueError(f"unknown function {self.function!r}")
+        for name in ("dim", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for key in self.baseline_overrides:
-            if key not in _OVERRIDES_READ[self.optimizer]:
+            if key not in FIELDS_READ[self.optimizer]:
                 raise ValueError(f"optimizer {self.optimizer!r} does not read "
                                  f"the baseline option {key!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
         # the configs read only the domain, so no rotation is drawn
         info = BENCHMARKS[self.function]
-        domain = Objective(info.fn, self.dim, (info.lower, info.upper))
-        if self.optimizer == "adadgs":
-            dataclasses.replace(self.adadgs, budget=self.budget).resolved(domain)
-        else:
-            default_baseline_config(self, domain).validate()
+        return run_config(self, Objective(info.fn, self.dim, (info.lower, info.upper)))
 
     @property
     def run_dir(self) -> Path:
@@ -90,12 +94,14 @@ def trial_seeds(master_seed: int, trial: int) -> tuple[int, int, int]:
     return int(a), int(b), int(c)
 
 
-def default_baseline_config(spec: ExperimentSpec, objective) -> BaselineConfig:
-    """Scale-aware baseline defaults; the source text specifies none.
-
-    An override is used as given, so an invalid one fails validation. The
-    default es_bpop population, M*d, is rounded up to even.
+def run_config(spec: ExperimentSpec, objective) -> AdaDgsConfig | BaselineConfig:
+    """The run's optimizer config, resolved against the objective's domain and
+    validated. Baseline defaults are scale-aware (the source text specifies
+    none); an override is used as given, so an invalid one fails validation.
+    The default es_bpop population, M*d, is rounded up to even.
     """
+    if spec.optimizer == "adadgs":
+        return dataclasses.replace(spec.adadgs, budget=spec.budget).resolved(objective)
     width = objective.domain_width
     learning_rate, sigma_or_h = {
         "es_bpop": (0.002 * width, 0.02 * width),
@@ -108,7 +114,9 @@ def default_baseline_config(spec: ExperimentSpec, objective) -> BaselineConfig:
         population += population % 2
     settings = dict(learning_rate=learning_rate, sigma_or_h=sigma_or_h,
                     population=population, budget=spec.budget)
-    return BaselineConfig(**{**settings, **spec.baseline_overrides})
+    cfg = BaselineConfig(**{**settings, **spec.baseline_overrides})
+    cfg.validate()
+    return cfg
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> Trace:
@@ -118,16 +126,11 @@ def run_trial(spec: ExperimentSpec, trial: int) -> Trace:
     x0 = np.random.default_rng(x0_seed).uniform(
         objective.lower, objective.upper, size=spec.dim
     )
-    if spec.optimizer == "adadgs":
-        cfg = dataclasses.replace(spec.adadgs, budget=spec.budget, seed=opt_seed)
-        _, _, trace = adadgs_minimize(objective, x0, cfg)
-    else:
-        cfg = dataclasses.replace(
-            default_baseline_config(spec, objective), seed=opt_seed
-        )
-        run = {"es_bpop": es_bpop_minimize, "nesterov": nesterov_minimize,
-               "fd": fd_minimize}[spec.optimizer]
-        _, _, trace = run(objective, x0, cfg)
+    cfg = dataclasses.replace(run_config(spec, objective), seed=opt_seed)
+    # looked up at call time, so a rebound *_minimize is the one called
+    run = {"adadgs": adadgs_minimize, "es_bpop": es_bpop_minimize,
+           "nesterov": nesterov_minimize, "fd": fd_minimize}[spec.optimizer]
+    _, _, trace = run(objective, x0, cfg)
     return trace
 
 
@@ -205,9 +208,14 @@ def n_workers() -> int:
     return workers
 
 
+def _write_json(path: Path, obj) -> None:
+    # a spec may hold numpy integers; they are written as plain numbers
+    _atomic_write(path, json.dumps(obj, indent=2, default=np.generic.item) + "\n")
+
+
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run all trials, write per-trial CSVs plus summary and manifest."""
-    spec.validate()
+    config = spec.validate()
     workers = n_workers()
     optimum = optimum_value(spec.function, spec.dim)
     run_dir = spec.run_dir
@@ -221,14 +229,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "budget": spec.budget,
         "seed": spec.seed,
         "optimum": optimum,
-        "adadgs_config": dataclasses.asdict(spec.adadgs),
-        "baseline_overrides": dict(spec.baseline_overrides),
+        "config": dataclasses.asdict(config),
         "trial_seeds": {
             str(k): trial_seeds(spec.seed, k) for k in range(spec.trials)
         },
         "complete": False,
     }
-    _atomic_write(run_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write_json(run_dir / "manifest.json", manifest)
 
     # each CSV is written when its trial arrives; if a trial raises, the
     # earlier CSVs stay and the manifest stays marked incomplete
@@ -239,9 +246,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     traces = [parse_trace_csv(text) for text in csv_texts]
     summary = summarize(traces, spec.budget, optimum)
-    _atomic_write(run_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
+    _write_json(run_dir / "summary.json", summary)
     manifest["complete"] = True
-    _atomic_write(run_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write_json(run_dir / "manifest.json", manifest)
     return summary
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -7,15 +8,16 @@ import numpy as np
 import pytest
 
 from adadgs import cli, harness
+from adadgs.baselines import BaselineConfig
 from adadgs.benchmarks import make_benchmark, optimum_value
 from adadgs.cli import main
 from adadgs.harness import (
     ExperimentSpec,
     checkpoint_grid,
-    default_baseline_config,
     list_functions,
     parse_trace_csv,
     preset,
+    run_config,
     run_experiment,
     run_trial,
     summarize,
@@ -175,8 +177,46 @@ def test_budget_accounting_all_optimizers():
 
 def test_default_es_population_rounds_up_to_even():
     spec = ExperimentSpec(function="ellipsoidal", dim=5, optimizer="es_bpop", budget=300)
-    cfg = default_baseline_config(spec, make_benchmark("ellipsoidal", 5, 0))
+    cfg = run_config(spec, make_benchmark("ellipsoidal", 5, 0))
     assert cfg.population == 26  # M*d = 25
+
+
+def test_manifest_records_the_resolved_config(tmp_path):
+    # the config every trial ran with, seed aside; it reads only the domain,
+    # so any instance of the function resolves it
+    domain = make_benchmark("rastrigin", 5, 0)
+    spec = small_spec(tmp_path, trials=1, adadgs=preset("paper-1000d"))
+    run_experiment(spec)
+    config = json.loads((spec.run_dir / "manifest.json").read_text())["config"]
+    resolved = dataclasses.replace(preset("paper-1000d"), budget=500).resolved(domain)
+    assert config == dataclasses.asdict(resolved)
+    assert all(np.isfinite(config[key]) for key in ("L_max", "L_min", "S", "sigma0"))
+
+    spec = small_spec(tmp_path, trials=1, optimizer="es_bpop")
+    run_experiment(spec)
+    manifest = json.loads((spec.run_dir / "manifest.json").read_text())
+    assert "adadgs_config" not in manifest and "baseline_overrides" not in manifest
+    width = domain.domain_width
+    assert manifest["config"] == dataclasses.asdict(BaselineConfig(
+        learning_rate=0.002 * width, sigma_or_h=0.02 * width, population=26, budget=500))
+
+
+@pytest.mark.parametrize("kw", [dict(trials=2.5), dict(dim=3.5), dict(trials=True)],
+                         ids=["trials-float", "dim-float", "trials-bool"])
+def test_non_integer_dim_or_trials_is_an_error_before_any_output(tmp_path, kw):
+    spec = ExperimentSpec(**{**dict(function="ackley", dim=3, optimizer="adadgs", budget=60,
+                                    trials=2, out_dir=str(tmp_path)), **kw})
+    with pytest.raises(ValueError, match="must be an integer"):
+        run_experiment(spec)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numpy_integer_dim_and_trials_are_accepted(tmp_path):
+    spec = ExperimentSpec("ackley", np.int64(3), "adadgs", budget=60, trials=np.int64(2),
+                          out_dir=str(tmp_path))
+    run_experiment(spec)
+    manifest = json.loads((tmp_path / "ackley_3_adadgs" / "manifest.json").read_text())
+    assert manifest["dim"] == 3 and manifest["trials"] == 2 and manifest["complete"]
 
 
 def test_checkpoint_grid():
@@ -204,8 +244,6 @@ def test_preset_unknown():
 
 
 def test_preset_dimension_independent():
-    import dataclasses
-
     cfg = dataclasses.replace(preset("paper-1000d"), budget=1000)
     for d in (10, 2000):
         b = make_benchmark("ackley", d, 0)
@@ -262,7 +300,8 @@ def test_cli_run_and_errors(tmp_path, capsys):
     (["--dim", "3", "--gh-points", "1"], "1-point rule"),
     (["--dim", "3", "--reset-interval", "-4"], "reset_interval"),
     (["--dim", "3", "--gamma", "nan"], "gamma"),
-], ids=["dim-1", "gh-points-1", "reset-interval", "gamma-nan"])
+    (["--dim", "3", "--budget", "0"], "budget must be >= 1"),
+], ids=["dim-1", "gh-points-1", "reset-interval", "gamma-nan", "budget-0"])
 def test_cli_invalid_run_is_an_error_before_any_output(tmp_path, capsys, args, named):
     assert main(["run", "--func", "ackley", "--optimizer", "adadgs", "--trials", "2",
                  "--budget", "300", "--out", str(tmp_path), *args]) == 1
@@ -307,8 +346,8 @@ def test_cli_preset_flag(tmp_path):
                  "--line-points", "12", "--out", str(tmp_path)]) == 0
     manifest = json.loads(
         (tmp_path / "ackley_4_adadgs" / "manifest.json").read_text())
-    assert manifest["adadgs_config"]["gamma"] == 0.0  # from preset
-    assert manifest["adadgs_config"]["S"] == 12  # explicit flag overrides
+    assert manifest["config"]["gamma"] == 0.0  # from preset
+    assert manifest["config"]["S"] == 12  # explicit flag overrides
 
 
 def run_args(tmp_path, *extra, optimizer="adadgs"):
@@ -335,6 +374,9 @@ def test_cli_baseline_override_is_used_as_given(tmp_path, capsys, flag, value):
     ("fd", "--population", "7", "population"),
     ("nesterov", "--population", "8", "population"),
     ("adadgs", "--learning-rate", "0.5", "learning_rate"),
+    ("fd", "--gamma", "0.5", "gamma"),
+    ("nesterov", "--line-points", "99", "S"),
+    ("es_bpop", "--sigma0", "0.5", "sigma0"),
 ])
 def test_cli_baseline_flag_the_optimizer_never_reads_is_an_error(
         tmp_path, capsys, optimizer, flag, value, key):
@@ -342,6 +384,12 @@ def test_cli_baseline_flag_the_optimizer_never_reads_is_an_error(
     err = capsys.readouterr().err
     assert repr(optimizer) in err and repr(key) in err
     assert not (tmp_path / f"ellipsoidal_3_{optimizer}").exists()
+
+
+def test_cli_es_bpop_reads_gh_points_for_its_population(tmp_path):
+    # es_bpop's default population is M*d rounded up to even: 3*3 -> 10
+    assert main(run_args(tmp_path, "--gh-points", "3", optimizer="es_bpop")) == 0
+    assert read_manifest(tmp_path, "es_bpop")["config"]["population"] == 10
 
 
 # Every adadgs and baseline flag and the field it sets: the flag names are
@@ -371,11 +419,10 @@ def test_cli_flag_table_is_the_field_tables():
 
 
 @pytest.mark.parametrize("flag", FLAGS)
-def test_cli_flag_and_ini_key_set_their_field(tmp_path, flag):
+def test_cli_flag_sets_its_field(tmp_path, flag):
     section, fld, value = FLAGS[flag]
     optimizer = "adadgs" if section == "adadgs" else "es_bpop"
-    record = "adadgs_config" if section == "adadgs" else "baseline_overrides"
     expected = float(value) if "." in value else int(value)
 
     assert main(run_args(tmp_path / "flag", flag, value, optimizer=optimizer)) == 0
-    assert read_manifest(tmp_path / "flag", optimizer)[record][fld] == expected
+    assert read_manifest(tmp_path / "flag", optimizer)["config"][fld] == expected

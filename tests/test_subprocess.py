@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,6 +57,31 @@ def test_err_response():
 def test_bad_handshake_fails_before_optimization():
     with pytest.raises(EvaluationError, match="handshake"):
         spawn("bad-handshake")
+
+
+@pytest.mark.parametrize("path", ["normal", "bad-handshake", "timeout"])
+def test_close_closes_both_pipes_and_reaps_the_worker(monkeypatch, path):
+    procs = []
+    popen = subprocess.Popen
+
+    def record(*args, **kw):
+        procs.append(popen(*args, **kw))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", record)
+    if path == "bad-handshake":
+        with pytest.raises(EvaluationError, match="handshake"):
+            spawn("bad-handshake")
+    else:
+        with spawn("ok" if path == "normal" else "hang", timeout=0.5) as F:
+            if path == "timeout":
+                with pytest.raises(EvaluationError, match="timed out"):
+                    F(np.array([1.0, 2.0]))
+            else:
+                F(np.array([1.0, 2.0]))
+    [proc] = procs
+    assert proc.stdin.closed and proc.stdout.closed
+    assert proc.returncode is not None
 
 
 def test_dimension_mismatch_reported():
