@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """The preset, if one is named, with the flags that were given on top. An
-    AdaDGS flag the optimizer never reads is an error; `--preset` is not."""
+    AdaDGS flag the optimizer never reads is an error, whatever its value;
+    `--preset` is not: a baseline takes from it only the fields it reads."""
 
     def given(table):
         return {fld: getattr(args, key) for key, (fld, _) in table.items()
@@ -70,7 +71,10 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
         if getattr(args, key) is not None and fld not in FIELDS_READ[args.optimizer]:
             raise ValueError(f"optimizer {args.optimizer!r} does not read "
                              f"--{key.replace('_', '-')} (field {fld!r})")
-    ada_cfg = preset(args.preset) if args.preset else AdaDgsConfig()
+    default = AdaDgsConfig()
+    unread = {fld: getattr(default, fld) for fld in FIELDS_READ["adadgs"]
+              if fld not in FIELDS_READ[args.optimizer]}
+    ada_cfg = dataclasses.replace(preset(args.preset), **unread) if args.preset else default
     return ExperimentSpec(
         function=args.func,
         dim=args.dim,

@@ -8,6 +8,10 @@ best-loss statistics across trials on a fixed evaluation-count grid.
 `run_config` is the one place a run's optimizer config is built: resolved
 against the function's domain and validated. `manifest.json` records it.
 
+A trial runs with numpy's BLAS on one thread (`blas_threads`), so its CSV
+does not depend on the machine's BLAS thread count; a large stencil is
+spread over the CPUs by the benchmark itself (`benchmarks.eval_threads`).
+
 `run_trial`, `parse_trace_csv`, `summarize`, `make_benchmark` and the three
 baseline `*_minimize` functions stay module-level names, looked up through
 this module on every call: `perfbench/tracer.py` times each layer by
@@ -16,7 +20,10 @@ rebinding them from outside.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import json
 import os
 import tempfile
@@ -27,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineConfig, es_bpop_minimize, fd_minimize, nesterov_minimize
-from .benchmarks import BENCHMARKS, Objective, make_benchmark, optimum_value
+from .benchmarks import BENCHMARKS, Objective, eval_threads, make_benchmark, optimum_value
 from .optimizer import AdaDgsConfig, adadgs_minimize
 from .trace import Trace
 
@@ -45,6 +52,9 @@ PRESETS = {
     "paper-1000d": AdaDgsConfig(M=5, gamma=0.0, S=200, contraction=0.9, sigma0_scale=5.0),
 }
 WORKERS_ENV = "ADADGS_WORKERS"
+# the BLAS thread count every trial runs under: a matvec's rounding depends on
+# it, and a second BLAS thread spins on a CPU that a stencil's blocks can use
+BLAS_THREADS = 1
 N_CHECKPOINTS = 100
 
 
@@ -72,10 +82,16 @@ class ExperimentSpec:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        read = FIELDS_READ[self.optimizer]
         for key in self.baseline_overrides:
-            if key not in FIELDS_READ[self.optimizer]:
+            if key not in read or key in FIELDS_READ["adadgs"]:
                 raise ValueError(f"optimizer {self.optimizer!r} does not read "
                                  f"the baseline option {key!r}")
+        default = AdaDgsConfig()
+        for key in FIELDS_READ["adadgs"]:
+            if key not in read and getattr(self.adadgs, key) != getattr(default, key):
+                raise ValueError(f"optimizer {self.optimizer!r} does not read "
+                                 f"the AdaDGS option {key!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         # the configs read only the domain, so no rotation is drawn
@@ -119,18 +135,58 @@ def run_config(spec: ExperimentSpec, objective) -> AdaDgsConfig | BaselineConfig
     return cfg
 
 
+@functools.cache
+def _blas_thread_functions():
+    """numpy's bundled OpenBLAS (get, set) thread-count functions, or None
+    where there are none to be found."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                           ("openblas_", "")):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads():
+    """Run the block with numpy's BLAS on `BLAS_THREADS` threads, restoring
+    the previous count on exit; where no setter was found, the BLAS keeps
+    its own count."""
+    functions = _blas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    before = get()
+    set_(BLAS_THREADS)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def run_trial(spec: ExperimentSpec, trial: int) -> Trace:
-    """Run a single seeded trial and return its trace."""
+    """Run a single seeded trial, under `blas_threads`, and return its trace."""
     bench_seed, x0_seed, opt_seed = trial_seeds(spec.seed, trial)
-    objective = make_benchmark(spec.function, spec.dim, bench_seed)
-    x0 = np.random.default_rng(x0_seed).uniform(
-        objective.lower, objective.upper, size=spec.dim
-    )
-    cfg = dataclasses.replace(run_config(spec, objective), seed=opt_seed)
-    # looked up at call time, so a rebound *_minimize is the one called
-    run = {"adadgs": adadgs_minimize, "es_bpop": es_bpop_minimize,
-           "nesterov": nesterov_minimize, "fd": fd_minimize}[spec.optimizer]
-    _, _, trace = run(objective, x0, cfg)
+    with blas_threads():
+        objective = make_benchmark(spec.function, spec.dim, bench_seed)
+        x0 = np.random.default_rng(x0_seed).uniform(
+            objective.lower, objective.upper, size=spec.dim
+        )
+        cfg = dataclasses.replace(run_config(spec, objective), seed=opt_seed)
+        # looked up at call time, so a rebound *_minimize is the one called
+        run = {"adadgs": adadgs_minimize, "es_bpop": es_bpop_minimize,
+               "nesterov": nesterov_minimize, "fd": fd_minimize}[spec.optimizer]
+        _, _, trace = run(objective, x0, cfg)
     return trace
 
 
@@ -230,6 +286,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "seed": spec.seed,
         "optimum": optimum,
         "config": dataclasses.asdict(config),
+        # blas is null where numpy's BLAS offers no thread setter; the trial
+        # CSVs may then depend on the machine's BLAS thread count
+        "threads": {"blas": BLAS_THREADS if _blas_thread_functions() else None,
+                    "eval": eval_threads()},
         "trial_seeds": {
             str(k): trial_seeds(spec.seed, k) for k in range(spec.trials)
         },

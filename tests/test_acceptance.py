@@ -138,10 +138,11 @@ def test_criterion_4_benchmark_optima():
 
 def _median_final(tmp_path, function, optimizer, dim=100, budget=300_000,
                   trials=20, seed=0):
+    # a baseline reads no field of the preset but M, which is the default 5
     spec = ExperimentSpec(
         function=function, dim=dim, optimizer=optimizer, budget=budget,
         trials=trials, seed=seed, out_dir=str(tmp_path),
-        adadgs=preset("paper-1000d"),
+        adadgs=preset("paper-1000d") if optimizer == "adadgs" else AdaDgsConfig(),
     )
     return run_experiment(spec)["final"]["median_f_best"]
 

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from adadgs import benchmarks
 from adadgs.benchmarks import (
     BENCHMARKS,
     Lines,
@@ -323,3 +324,43 @@ def test_benchmark_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# --- blocked, threaded evaluation of Lines batches ---------------------------
+
+
+def blocked_values(b, lines, monkeypatch, rows, threads):
+    """b(lines) in blocks of `rows` directions (None: one block) on `threads`."""
+    per_direction = len(lines.offsets) * b.dim
+    monkeypatch.setattr(benchmarks, "BLOCK_ELEMENTS",
+                        2**62 if rows is None else rows * per_direction)
+    monkeypatch.setattr(benchmarks, "eval_threads", lambda: threads)
+    return b(lines)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_blocked_evaluation_is_bit_identical(name, monkeypatch):
+    # 13 directions: blocks of 1 and 5 rows, the last block of 5 partial, and
+    # one block, which takes the serial path; a benchmark is row-wise, so
+    # neither the blocks nor the threads may move a bit
+    rng = np.random.default_rng(11)
+    b = make_benchmark(name, 13, 4)
+    stencil, _ = stencil_and_line_search_batches(b, rng)
+    whole = blocked_values(b, stencil, monkeypatch, None, 1)
+    assert whole.shape == (13 * 4,)
+    for rows, threads in ((1, 1), (1, 3), (5, 2), (5, 4)):
+        np.testing.assert_array_equal(
+            blocked_values(b, stencil, monkeypatch, rows, threads), whole)
+
+
+def test_threaded_blocks_keep_the_callers_errstate(monkeypatch):
+    # the caller's np.errstate holds in the pool's threads as on the serial
+    # path: an overflow it ignores is inf with no warning, one it raises on
+    # is a FloatingPointError
+    b = make_benchmark("quintic", 6, 0)
+    lines = Lines(np.full(6, 1e70), Frame.identity(6).matrix, np.array([-1.0, 1.0]))
+    for rows in (None, 1):
+        with np.errstate(over="ignore"):
+            assert np.all(blocked_values(b, lines, monkeypatch, rows, 2) == np.inf)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            blocked_values(b, lines, monkeypatch, rows, 2)

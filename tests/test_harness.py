@@ -2,6 +2,9 @@ import dataclasses
 import importlib
 import json
 import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from adadgs.harness import (
     summarize,
     trial_seeds,
 )
+from adadgs.optimizer import AdaDgsConfig
 from adadgs.trace import CSV_HEADER
 
 
@@ -158,6 +162,112 @@ def test_perfbench_tracer_reaches_every_layer(tmp_path, monkeypatch):
     assert tracer.names.count("optimizer.step") == adadgs_iterations
     assert [tracer.trial_points[k] for k in range(3)] == [
         int(csv[-1].split(",")[2]) for csv in csvs]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_in_subprocess(script, env_overrides, timeout=120):
+    """Run `script` in a fresh interpreter and its own process group, which
+    is killed if it has not finished within `timeout` seconds."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env_overrides}
+    with subprocess.Popen([sys.executable, "-c", script], env=env,
+                          start_new_session=True) as proc:
+        try:
+            assert proc.wait(timeout=timeout) == 0
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            pytest.fail(f"subprocess did not finish within {timeout} s")
+
+
+def trial_csvs(spec):
+    return [(spec.run_dir / f"trial_{k}.csv").read_bytes() for k in range(spec.trials)]
+
+
+def test_trial_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
+    # at d=100 a multi-threaded BLAS rounds some products differently from a
+    # single thread, so unpinned, the bytes would follow the machine
+    monkeypatch.delenv("ADADGS_WORKERS", raising=False)
+    spec = small_spec(tmp_path / "in-process", dim=100, budget=6000, trials=2)
+    run_experiment(spec)
+    monkeypatch.setenv("ADADGS_WORKERS", "2")
+    pooled = small_spec(tmp_path / "pooled", dim=100, budget=6000, trials=2)
+    run_experiment(pooled)
+    one_thread = small_spec(tmp_path / "one-thread", dim=100, budget=6000, trials=2)
+    run_in_subprocess(
+        "from adadgs.harness import ExperimentSpec, run_experiment\n"
+        "from adadgs.optimizer import AdaDgsConfig\n"
+        f"run_experiment({one_thread!r})", {"OPENBLAS_NUM_THREADS": "1", "ADADGS_WORKERS": "1"})
+    assert trial_csvs(pooled) == trial_csvs(spec)
+    assert trial_csvs(one_thread) == trial_csvs(spec)
+
+
+def test_a_forked_worker_evaluates_blocks_in_threads(tmp_path):
+    # with one direction per block a d=10 stencil goes to a thread pool; the
+    # process that made such pools then forks the trial workers, which must
+    # make their own pools and write the in-process run's bytes
+    serial = small_spec(tmp_path / "in-process", dim=10, budget=400, trials=2)
+    pooled = small_spec(tmp_path / "pooled", dim=10, budget=400, trials=2)
+    run_in_subprocess(
+        "import os\n"
+        "from adadgs import benchmarks\n"
+        "from adadgs.harness import ExperimentSpec, run_experiment\n"
+        "from adadgs.optimizer import AdaDgsConfig\n"
+        "benchmarks.BLOCK_ELEMENTS = 4 * 10\n"
+        f"run_experiment({serial!r})\n"
+        "os.environ['ADADGS_WORKERS'] = '2'\n"
+        f"run_experiment({pooled!r})", {"ADADGS_WORKERS": "1"}, timeout=60)
+    assert trial_csvs(pooled) == trial_csvs(serial)
+    default = small_spec(tmp_path / "default-blocks", dim=10, budget=400, trials=2)
+    run_experiment(default)
+    assert trial_csvs(default) == trial_csvs(serial)
+
+
+def test_manifest_records_the_thread_counts(tmp_path):
+    spec = small_spec(tmp_path, trials=1)
+    run_experiment(spec)
+    threads = json.loads((spec.run_dir / "manifest.json").read_text())["threads"]
+    blas = 1 if harness._blas_thread_functions() is not None else None
+    assert threads == {"blas": blas, "eval": len(os.sched_getaffinity(0))}
+
+
+def test_a_trial_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    functions = harness._blas_thread_functions()
+    if functions is None:
+        pytest.skip("numpy's BLAS has no thread setter here")
+    get, set_ = functions
+    seen = []
+
+    def make(*args):
+        seen.append(get())
+        return make_benchmark(*args)
+
+    monkeypatch.setattr(harness, "make_benchmark", make)
+    before = get()
+    set_(2)
+    try:
+        run_trial(ExperimentSpec("ackley", 4, "adadgs", budget=100), 0)
+        assert seen == [1] and get() == 2
+    finally:
+        set_(before)
+
+
+@pytest.mark.parametrize("kw,named", [
+    (dict(optimizer="es_bpop", baseline_overrides={"M": 3}), "'M'"),
+    (dict(optimizer="fd", adadgs=AdaDgsConfig(gamma=0.5)), "'gamma'"),
+    (dict(optimizer="nesterov", adadgs=preset("paper-1000d")), "'S'"),
+    (dict(optimizer="es_bpop", adadgs=AdaDgsConfig(sigma0=2.0)), "'sigma0'"),
+], ids=["es_bpop-M-override", "fd-gamma", "nesterov-preset", "es_bpop-sigma0"])
+def test_spec_with_an_option_the_optimizer_never_reads_is_rejected(kw, named):
+    spec = ExperimentSpec("ackley", 3, budget=60, **kw)
+    with pytest.raises(ValueError, match=named):
+        spec.validate()
+
+
+def test_es_bpop_spec_may_set_m():
+    spec = ExperimentSpec("ackley", 3, "es_bpop", budget=60, adadgs=AdaDgsConfig(M=3))
+    assert spec.validate().population == 10  # M*d = 9, rounded up to even
 
 
 def test_trial_seeds_deterministic_and_distinct():
@@ -348,6 +458,16 @@ def test_cli_preset_flag(tmp_path):
         (tmp_path / "ackley_4_adadgs" / "manifest.json").read_text())
     assert manifest["config"]["gamma"] == 0.0  # from preset
     assert manifest["config"]["S"] == 12  # explicit flag overrides
+
+
+@pytest.mark.parametrize("optimizer", ["es_bpop", "fd"])
+def test_cli_preset_gives_a_baseline_only_the_fields_it_reads(tmp_path, optimizer):
+    # paper-1000d's M is the default 5; its other fields are AdaDGS-only
+    assert main(run_args(tmp_path / "preset", "--preset", "paper-1000d",
+                         optimizer=optimizer)) == 0
+    assert main(run_args(tmp_path / "none", optimizer=optimizer)) == 0
+    assert read_manifest(tmp_path / "preset", optimizer)["config"] == \
+        read_manifest(tmp_path / "none", optimizer)["config"]
 
 
 def run_args(tmp_path, *extra, optimizer="adadgs"):
