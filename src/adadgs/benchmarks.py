@@ -207,12 +207,18 @@ def optimum_value(name: str, d: int) -> float:
     return info.optimum_offset + info.optimum_per_dim * d
 
 
-# Elements of Z per block of a Lines batch, so that a block and the base
-# function's temporaries stay in cache. One d=1000 stencil call (4000 x 1000
-# points, rotated Ackley) took 166 ms unblocked and 133 ms in blocks of 2**18
-# on one thread; spread over 2 CPUs with the BLAS pinned to one thread it took
-# 74 ms (numpy 2.4.6, OpenBLAS 0.3.31).
+# Elements of Z per block of a Lines batch. A batch of more than BLOCK_ELEMENTS
+# is spread over the CPUs in blocks of at most that many: one d=1000 stencil
+# call (4000 x 1000 points, rotated Ackley) took 166 ms unblocked, 133 ms in
+# blocks of 2**18 on one thread and 74 ms on 2 CPUs. A smaller batch is
+# evaluated serially in blocks of at most SERIAL_BLOCK_ELEMENTS: 2**14 float64
+# is 128 KiB, glibc's default mmap threshold, so malloc reuses each block's
+# temporaries from the heap instead of mapping fresh pages on every call. Two
+# d=100 Rastrigin trials of 5e4 evaluations took 65.6k minor page faults in one
+# block, 40k in blocks of 2**15 and 1.6k in blocks of 2**14 (numpy 2.4.6,
+# OpenBLAS 0.3.31, the BLAS on one thread).
 BLOCK_ELEMENTS = 2**18
+SERIAL_BLOCK_ELEMENTS = 2**14
 
 
 def eval_threads() -> int:
@@ -240,11 +246,14 @@ class TransformedBenchmark(Objective):
     is read-only and owns its data (a `Frame`'s matrix), matched by
     identity, so a frame is rotated once however often it is used.
 
-    The batch is built and evaluated in blocks of whole directions, about
-    `BLOCK_ELEMENTS` coordinates each. A batch of more than one block is
-    spread over `eval_threads()` threads (numpy releases the GIL), in a
-    pool made for the call, so a forked process inherits no idle pool.
-    Every base function is row-wise, so the values do not depend on the
+    The batch is built and evaluated in blocks of whole directions. A batch
+    of at most `BLOCK_ELEMENTS` (2**18) coordinates runs serially in blocks
+    of at most `SERIAL_BLOCK_ELEMENTS` (2**14, 128 KiB), whose memory malloc
+    reuses: two d=100 trials took 1.6k minor page faults, not 65.6k. A larger
+    batch is spread over `eval_threads()` threads (numpy releases the GIL),
+    in blocks of at most `BLOCK_ELEMENTS`, as many as a multiple of the thread
+    count, in a pool made for the call, so a forked process inherits no idle
+    pool. Every base function is row-wise, so the values do not depend on the
     block size or the thread count.
     """
 
@@ -271,25 +280,31 @@ class TransformedBenchmark(Objective):
             if not directions.flags.writeable and directions.base is None:
                 self._rotated = (directions, W)
         z0 = _to_base(origin, self.rotation, self.x_opt, self._info.z_star)
-        base_fn, d, m = self._info.fn, self.dim, len(offsets)
-        rows = max(1, BLOCK_ELEMENTS // max(1, m * d))  # directions per block
-        out = np.empty(len(W) * m)
+        base_fn, d, m, k = self._info.fn, self.dim, len(offsets), len(W)
+        serial = k * m * d <= BLOCK_ELEMENTS
+        size = SERIAL_BLOCK_ELEMENTS if serial else BLOCK_ELEMENTS
+        blocks = max(1, -(-k // max(1, size // max(1, m * d))))
+        if not serial:  # a multiple of the thread count, so that no thread idles
+            threads = eval_threads()
+            blocks = min(k, -(-blocks // threads) * threads)
+        # whole directions per block, the sizes differing by at most one
+        spans = [(k * i // blocks, k * (i + 1) // blocks) for i in range(blocks)]
+        out = np.empty(k * m)
 
-        def block(a):
-            Z = offsets[None, :, None] * W[a:a + rows, None, :]
+        def block(a, b):
+            Z = offsets[None, :, None] * W[a:b, None, :]
             Z += z0  # in place: a second block-sized temporary slowed d=200 by ~10%
-            out[a * m:(a + rows) * m] = base_fn(Z.reshape(-1, d))
+            out[a * m:b * m] = base_fn(Z.reshape(-1, d))
 
-        starts = range(0, len(W), rows)
-        if len(starts) > 1:
+        if serial or blocks == 1:
+            for a, b in spans:
+                block(a, b)
+        else:
             # each block runs in a copy of the caller's context, so that
             # np.errstate applies in the pool's threads too
             context = contextvars.copy_context()
-            with ThreadPoolExecutor(eval_threads()) as pool:
-                list(pool.map(lambda a: context.copy().run(block, a), starts))
-        else:
-            for a in starts:
-                block(a)
+            with ThreadPoolExecutor(threads) as pool:
+                list(pool.map(lambda s: context.copy().run(block, *s), spans))
         return out
 
 

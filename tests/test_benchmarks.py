@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -330,25 +331,42 @@ def test_benchmark_is_freed_without_the_cycle_collector():
 
 
 def blocked_values(b, lines, monkeypatch, rows, threads):
-    """b(lines) in blocks of `rows` directions (None: one block) on `threads`."""
+    """b(lines) in blocks of `rows` directions (None: one serial block),
+    spread over `threads` threads, or serially when `threads` is None."""
     per_direction = len(lines.offsets) * b.dim
-    monkeypatch.setattr(benchmarks, "BLOCK_ELEMENTS",
-                        2**62 if rows is None else rows * per_direction)
-    monkeypatch.setattr(benchmarks, "eval_threads", lambda: threads)
+    size = 2**62 if rows is None else rows * per_direction
+    serial = threads is None or rows is None
+    monkeypatch.setattr(benchmarks, "BLOCK_ELEMENTS", 2**62 if serial else size)
+    monkeypatch.setattr(benchmarks, "SERIAL_BLOCK_ELEMENTS", size)
+    monkeypatch.setattr(benchmarks, "eval_threads", lambda: threads or 1)
     return b(lines)
+
+
+def spy_on_base_function(monkeypatch, name):
+    """The shapes of the arrays that reach benchmark `name`'s base function,
+    for benchmarks made after the call."""
+    info = BENCHMARKS[name]
+    shapes = []
+
+    def spy(Z):
+        shapes.append(Z.shape)
+        return info.fn(Z)
+
+    monkeypatch.setitem(BENCHMARKS, name, dataclasses.replace(info, fn=spy))
+    return shapes
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_blocked_evaluation_is_bit_identical(name, monkeypatch):
-    # 13 directions: blocks of 1 and 5 rows, the last block of 5 partial, and
-    # one block, which takes the serial path; a benchmark is row-wise, so
-    # neither the blocks nor the threads may move a bit
+    # 13 directions: one serial block, and blocks of at most 1 and 5 rows,
+    # serial and threaded, 5 rows giving blocks of unequal sizes; a benchmark
+    # is row-wise, so neither the blocks nor the threads may move a bit
     rng = np.random.default_rng(11)
     b = make_benchmark(name, 13, 4)
     stencil, _ = stencil_and_line_search_batches(b, rng)
     whole = blocked_values(b, stencil, monkeypatch, None, 1)
     assert whole.shape == (13 * 4,)
-    for rows, threads in ((1, 1), (1, 3), (5, 2), (5, 4)):
+    for rows, threads in ((1, None), (5, None), (1, 1), (1, 3), (5, 2), (5, 4)):
         np.testing.assert_array_equal(
             blocked_values(b, stencil, monkeypatch, rows, threads), whole)
 
@@ -364,3 +382,33 @@ def test_threaded_blocks_keep_the_callers_errstate(monkeypatch):
             assert np.all(blocked_values(b, lines, monkeypatch, rows, 2) == np.inf)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             blocked_values(b, lines, monkeypatch, rows, 2)
+
+
+def test_a_small_batch_reaches_the_base_function_in_128_kib_blocks(monkeypatch):
+    # a d=100 stencil (100 directions x 4 offsets, 40,000 coordinates) in one
+    # block makes 320 KiB temporaries, above glibc's mmap threshold, so each
+    # call mapped and faulted in fresh pages
+    shapes = spy_on_base_function(monkeypatch, "rastrigin")
+    b = make_benchmark("rastrigin", 100, 0)
+    stencil, _ = stencil_and_line_search_batches(b, np.random.default_rng(3))
+    blocked = b(stencil)
+    assert len(shapes) > 1
+    assert all(rows * d <= 2**14 for rows, d in shapes)
+    assert sum(rows for rows, _ in shapes) == 400
+    monkeypatch.setattr(benchmarks, "SERIAL_BLOCK_ELEMENTS", benchmarks.BLOCK_ELEMENTS)
+    shapes.clear()
+    whole = b(stencil)
+    assert shapes == [(400, 100)]
+    np.testing.assert_array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("threads,rows", [(2, [3, 3, 3, 4]), (3, [4, 4, 5])])
+def test_threaded_blocks_are_balanced_over_the_threads(threads, rows, monkeypatch):
+    # 13 directions in blocks of at most 5: a block count that is a multiple
+    # of the thread count, the sizes differing by at most one direction, not
+    # 5, 5 and 3, which leave a thread idle
+    shapes = spy_on_base_function(monkeypatch, "ackley")
+    b = make_benchmark("ackley", 13, 4)
+    stencil, _ = stencil_and_line_search_batches(b, np.random.default_rng(11))
+    blocked_values(b, stencil, monkeypatch, 5, threads)
+    assert sorted(n // 4 for n, _ in shapes) == rows
