@@ -1,5 +1,7 @@
 """Adaptive directional-Gaussian-smoothing optimization toolkit."""
 
+__version__ = "0.1.0"  # before the imports: harness records it in manifest.json
+
 from .baselines import BaselineConfig, es_bpop_minimize, fd_gradient, fd_minimize, nesterov_minimize
 from .benchmarks import (
     BENCHMARKS,
@@ -23,5 +25,3 @@ from .optimizer import (
     sigma_update,
 )
 from .trace import Trace
-
-__version__ = "0.1.0"

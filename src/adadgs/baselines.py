@@ -3,7 +3,8 @@ random search with forward differences, and central-finite-difference
 gradient descent.
 
 These use fixed learning rates and difference steps; they exist as
-comparison curves, not as tuned competitors. Each supplies only its
+comparison curves, not as tuned competitors. Like AdaDGS, each samples
+along lines, one `Lines` batch per iteration. Each supplies only its
 per-iteration step to `optimizer.drive`, the loop shared with AdaDGS: a
 generator `iterations(x0, f0)` that yields one `Iterate` per iteration,
 and the fixed number of evaluations an iteration uses. The driver owns
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import SampledGradient, finite_samples, gs_mc_gradient
+from .benchmarks import Lines
+from .gradient import Frame, SampledGradient, finite_samples, gs_mc_gradient
 from .optimizer import Iterate, check_caps, drive
 
 
@@ -42,17 +44,19 @@ class BaselineConfig:
 
 def _descend(F, x0, cfg: BaselineConfig, cost: int, estimate):
     """Gradient descent on `estimate(x)`, a SampledGradient; each iteration
-    reports its best sample as f_current."""
+    reports its best sample, rebuilt as `Lines.points` builds it, as f_current."""
     lam = cfg.learning_rate
 
     def iterations(x, f0):
         while True:
             est = estimate(x)
             k = int(np.argmin(est.values))
+            origin, directions, offsets = est.lines
+            i, j = divmod(k, len(offsets))
             x_new = x - lam * est.vector
             f_k = float(est.values[k])
             yield Iterate(f_k, cfg.sigma_or_h, float(np.linalg.norm(x_new - x)),
-                          est.points[k], f_k)
+                          origin + offsets[j] * directions[i], f_k)
             x = x_new
 
     return drive(F, x0, cfg.sigma_or_h, iterations, cost, cfg.T_max, cfg.budget)
@@ -78,7 +82,7 @@ def nesterov_minimize(F, x0, cfg: BaselineConfig):
     """Random search with forward-difference directional derivative.
 
     Per step: draw u ~ N(0, I), estimate F'(x; u) = (F(x+hu) - F(x))/h,
-    move x <- x - lr * F' * u. Exactly 2 evaluations per step.
+    move x <- x - lr * F' * u. Exactly 2 evaluations per step, in one batch.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -87,26 +91,25 @@ def nesterov_minimize(F, x0, cfg: BaselineConfig):
     def iterations(x, f0):
         while True:
             u = rng.standard_normal(x.shape[0])
-            x_h = x + h * u
-            fx, fxh = finite_samples([F(x), F(x_h)]).tolist()
+            fx, fxh = finite_samples(F(Lines(x, u[None], np.array([0.0, h])))).tolist()
             deriv = (fxh - fx) / h
             x_new = x - lam * deriv * u
-            best = (x_h, fxh) if fxh < fx else (x, fx)
+            best = (x + h * u, fxh) if fxh < fx else (x, fx)
             yield Iterate(fx, h, float(np.linalg.norm(x_new - x)), *best)
             x = x_new
 
     return drive(F, x0, h, iterations, 2, cfg.T_max, cfg.budget)
 
 
-def fd_gradient(F, x, h: float) -> SampledGradient:
-    """Central-difference gradient estimate (2d evaluations, batched)."""
+def fd_gradient(F, x, h: float, eye=None) -> SampledGradient:
+    """Central-difference gradient estimate: 2d evaluations, as one batch
+    `Lines(x, eye, [h, -h])`; pass a read-only identity reused over a trial
+    (a `Frame`'s matrix) so that a benchmark rotates it once."""
     x = np.asarray(x, float)
-    d = x.shape[0]
-    E = h * np.eye(d)
-    points = np.concatenate([x[None, :] + E, x[None, :] - E])
-    values = finite_samples(np.concatenate([F(points[:d]), F(points[d:])]))
-    vector = (values[:d] - values[d:]) / (2.0 * h)
-    return SampledGradient(vector, points, values)
+    lines = Lines(x, np.eye(x.shape[0]) if eye is None else eye, np.array([h, -h]))
+    values = finite_samples(F(lines))
+    plus, minus = values.reshape(-1, 2).T
+    return SampledGradient((plus - minus) / (2.0 * h), lines, values)
 
 
 def fd_minimize(F, x0, cfg: BaselineConfig):
@@ -116,5 +119,5 @@ def fd_minimize(F, x0, cfg: BaselineConfig):
     value of the iteration (the iterate is only evaluated once, at x0).
     """
     cfg.validate()
-    d = np.asarray(x0).shape[0]
-    return _descend(F, x0, cfg, 2 * d, lambda x: fd_gradient(F, x, cfg.sigma_or_h))
+    eye = Frame.identity(np.asarray(x0).shape[0]).matrix
+    return _descend(F, x0, cfg, 2 * len(eye), lambda x: fd_gradient(F, x, cfg.sigma_or_h, eye))

@@ -41,11 +41,11 @@ class Lines(NamedTuple):
 class Objective:
     """A counted black-box loss function with an initial search domain.
 
-    Accepts a single point of shape (d,), a batch of shape (n, d), or a
-    `Lines` batch; the evaluation counter increments by the number of
-    points evaluated. A `Lines` batch goes to `_eval_lines`, which builds
-    its points and calls `fn`; a subclass may override that hook to use
-    the batch's structure.
+    Accepts a single point of shape (d,) or a `Lines` batch, the one batch
+    form; the evaluation counter increments by the number of points
+    evaluated. `fn` maps an (n, d) array to n values. A `Lines` batch goes
+    to `_eval_lines`, which builds its points and calls `fn`; a subclass
+    may override that hook to use the batch's structure.
     """
 
     def __init__(
@@ -73,15 +73,11 @@ class Objective:
             self._count += directions.shape[0] * offsets.shape[0]
             return np.asarray(self._eval_lines(lines), float)
         x = np.asarray(x, float)
-        if x.ndim == 1:
-            if x.shape[0] != self.dim:
-                raise ValueError(f"expected dim {self.dim}, got {x.shape[0]}")
-            self._count += 1
-            return float(self.fn(x[None, :])[0])
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ValueError(f"expected shape (n, {self.dim}), got {x.shape}")
-        self._count += x.shape[0]
-        return np.asarray(self.fn(x), float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"expected a point of shape ({self.dim},) or a Lines "
+                             f"batch, got shape {x.shape}")
+        self._count += 1
+        return float(self.fn(x[None, :])[0])
 
     def _eval_lines(self, lines: Lines) -> np.ndarray:
         return self.fn(lines.points)
@@ -360,14 +356,13 @@ class SubprocessObjective(Objective):
             text=True,
             bufsize=1,
         )
-        self._handshake(dim)
-        super().__init__(self._eval_batch, dim, bounds)
-
-    def _handshake(self, dim: int):
-        reply = self._roundtrip(f"H {dim}")
-        if reply != "OK":
+        try:
+            if (reply := self._roundtrip(f"H {dim}")) != "OK":
+                raise EvaluationError(f"handshake failed: expected 'OK', got {reply!r}")
+        except BaseException:  # no object is returned, so nothing else would close it
             self.close()
-            raise EvaluationError(f"handshake failed: expected 'OK', got {reply!r}")
+            raise
+        super().__init__(self._eval_batch, dim, bounds)
 
     def _roundtrip(self, line: str) -> str:
         try:

@@ -79,10 +79,10 @@ class Frame:
 
 
 class SampledGradient(NamedTuple):
-    """A gradient estimate with the points it sampled and their values."""
+    """A gradient estimate with the `Lines` batch it sampled and its values."""
 
     vector: np.ndarray  # shape (d,)
-    points: np.ndarray  # shape (n, d)
+    lines: Lines
     values: np.ndarray  # shape (n,)
 
 
@@ -166,18 +166,18 @@ def gs_mc_gradient(
     """Monte-Carlo estimate of the Gaussian-smoothed gradient.
 
     Returns (1 / (n sigma)) sum_k F(x + sigma u_k) u_k with u_k standard
-    normal, sampled antithetically: the directions come in (u, -u) pairs,
-    which cancels even-order terms exactly (a constant F yields exactly 0).
+    normal, sampled antithetically as one batch `Lines(x, U, [sigma, -sigma])`:
+    each (u, -u) pair cancels even-order terms exactly (a constant F yields
+    exactly 0).
     """
     if rng is None:
         rng = np.random.default_rng()
     x = np.asarray(x, float)
     if n_samples < 2 or n_samples % 2 != 0:
         raise ValueError(f"n_samples must be a positive even number, got {n_samples}")
-    half = n_samples // 2
-    U = rng.standard_normal((half, x.shape[0]))
-    points = np.concatenate([x[None, :] + sigma * U, x[None, :] - sigma * U])
-    values = finite_samples(np.concatenate([F(points[:half]), F(points[half:])]))
+    U = rng.standard_normal((n_samples // 2, x.shape[0]))
+    lines = Lines(x, U, np.array([sigma, -sigma]))
+    values = finite_samples(F(lines))
     # pairwise form of the estimator: exact cancellation when F constant
-    vector = (values[:half] - values[half:]) @ U / (n_samples * sigma)
-    return SampledGradient(vector, points, values)
+    plus, minus = values.reshape(-1, 2).T
+    return SampledGradient((plus - minus) @ U / (n_samples * sigma), lines, values)

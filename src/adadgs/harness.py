@@ -26,6 +26,7 @@ import dataclasses
 import functools
 import json
 import os
+import platform
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .baselines import BaselineConfig, es_bpop_minimize, fd_minimize, nesterov_minimize
 from .benchmarks import BENCHMARKS, Objective, eval_threads, make_benchmark, optimum_value
 from .optimizer import AdaDgsConfig, adadgs_minimize
@@ -198,7 +200,7 @@ def _run_trial_csv(args) -> tuple[int, str]:
 def _trial_csvs(spec: ExperimentSpec, workers: int):
     """Yield (trial, CSV text) in trial order, in-process or from a pool."""
     jobs = [(spec, k) for k in range(spec.trials)]
-    if workers > 1 and spec.trials > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_run_trial_csv, jobs)
     else:
@@ -223,8 +225,9 @@ def checkpoint_grid(budget: int, n: int = N_CHECKPOINTS) -> list[int]:
 
 
 def summarize(traces: list[Trace], budget: int, optimum: float) -> dict:
-    """Mean/std of best loss across trials on an evaluation-count grid, and
-    the median over trials of (f_best[0] - optimum) / max(f_best[-1] - optimum, 1e-300)."""
+    """Mean/std of best loss across trials on an evaluation-count grid, the
+    median over trials of (f_best[0] - optimum) / max(f_best[-1] - optimum, 1e-300),
+    and per trial the share of evaluations after it first reached its final f_best."""
     grid = checkpoint_grid(budget)
     rows = []
     for cp in grid:
@@ -236,6 +239,7 @@ def summarize(traces: list[Trace], budget: int, optimum: float) -> dict:
             "median_f_best": float(np.median(vals)),
         })
     final = np.array([tr.final.f_best for tr in traces])
+    reached = [next(r.evals for r in tr if r.f_best == tr.final.f_best) for tr in traces]
     reduction = [(tr.rows[0].f_best - optimum) / max(tr.final.f_best - optimum, 1e-300)
                  for tr in traces]
     return {
@@ -248,6 +252,8 @@ def summarize(traces: list[Trace], budget: int, optimum: float) -> dict:
             "max_f_best": float(np.max(final)),
             "median_reduction": float(np.median(reduction)),
         },
+        "trials": [{"after_best_share": (tr.final.evals - at) / tr.final.evals}
+                   for tr, at in zip(traces, reached)],
     }
 
 
@@ -272,11 +278,11 @@ def _write_json(path: Path, obj) -> None:
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run all trials, write per-trial CSVs plus summary and manifest."""
     config = spec.validate()
-    workers = n_workers()
+    workers = min(n_workers(), spec.trials)  # 1: the trials run in-process
     optimum = optimum_value(spec.function, spec.dim)
     run_dir = spec.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
-
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "function": spec.function,
         "dim": spec.dim,
@@ -289,7 +295,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         # blas is null where numpy's BLAS offers no thread setter; the trial
         # CSVs may then depend on the machine's BLAS thread count
         "threads": {"blas": BLAS_THREADS if _blas_thread_functions() else None,
-                    "eval": eval_threads()},
+                    "eval": eval_threads(), "workers": workers},
+        "software": {"adadgs": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__,
+                     "blas": {key: blas.get(key) for key in ("name", "version")}},
         "trial_seeds": {
             str(k): trial_seeds(spec.seed, k) for k in range(spec.trials)
         },

@@ -4,6 +4,8 @@ Modes (argv[1], default "ok"):
   ok            - answer correctly
   garbled       - reply "abc" to evaluation requests
   bad-handshake - reply "NOPE" to the handshake
+  exit-at-handshake - exit without replying to the handshake
+  hang-at-handshake - never reply to the handshake
   err           - reply "ERR simulated failure" to evaluation requests
   hang          - never reply to evaluation requests
 
@@ -24,6 +26,10 @@ def main() -> int:
         if not parts:
             continue
         if parts[0] == "H":
+            if mode == "exit-at-handshake":
+                return 1
+            if mode == "hang-at-handshake":
+                time.sleep(3600)
             dim = int(parts[1])
             print("NOPE" if mode == "bad-handshake" else "OK", flush=True)
         elif parts[0] == "E":

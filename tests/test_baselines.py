@@ -156,6 +156,24 @@ def test_fd_eval_accounting():
     assert F.evals == rows[-1].evals
 
 
+# --- the best point --------------------------------------------------------
+
+
+@pytest.mark.parametrize("run,cfg", [
+    (es_bpop_minimize, BaselineConfig(0.05, 0.1, population=10, T_max=20, seed=0)),
+    (nesterov_minimize, BaselineConfig(0.01, 1e-3, T_max=20, seed=0)),
+    (fd_minimize, BaselineConfig(0.05, 1e-3, T_max=20, seed=0)),
+], ids=["es_bpop", "nesterov", "fd"])
+def test_x_best_is_the_point_that_gave_f_best(run, cfg):
+    # the best sample is rebuilt from its index in the batch; on a plain
+    # Objective it must be the very point whose value is f_best
+    F = Objective(lambda X: np.sum(X**2 + np.cos(3.0 * X), axis=1), 5, (-3, 3))
+    x0 = np.linspace(-1.7, 1.9, 5)
+    x_best, f_best, _ = run(F, x0, cfg)
+    assert f_best < F.fn(x0[None])[0]  # so x_best is a sample, not x0
+    assert F.fn(x_best[None])[0] == f_best
+
+
 # --- non-finite objective values --------------------------------------------
 
 

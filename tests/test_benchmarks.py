@@ -41,6 +41,11 @@ def base_value(name, z):
     return BENCHMARKS[name].fn(z)
 
 
+def rows(X):
+    """The rows of an (n, d) array as one `Lines` batch: 0 + 1 * X is X."""
+    return Lines(np.zeros(X.shape[1]), X, np.ones(1))
+
+
 def test_registry_names_and_domains():
     assert set(BENCHMARKS) == set(DOMAINS)
     for name, (lo, hi) in DOMAINS.items():
@@ -166,7 +171,8 @@ def test_identity_transform_equivalence(name):
     d = 7
     b = TransformedBenchmark(name, np.eye(d), np.zeros(d))
     X = np.random.default_rng(0).uniform(-2, 2, (40, d))
-    assert np.array_equal(b(X), base_value(name, X))
+    assert np.array_equal(b(rows(X)), base_value(name, X))
+    assert np.array_equal(b.fn(X), base_value(name, X))
 
 
 def test_identity_transform_shifted_minimizer():
@@ -175,7 +181,8 @@ def test_identity_transform_shifted_minimizer():
     d = 5
     b = TransformedBenchmark("rosenbrock", np.eye(d), np.zeros(d))
     X = np.random.default_rng(1).uniform(-2, 2, (20, d))
-    assert np.array_equal(b(X), base_value("rosenbrock", X + 1.0))
+    assert np.array_equal(b(rows(X)), base_value("rosenbrock", X + 1.0))
+    assert np.array_equal(b.fn(X), base_value("rosenbrock", X + 1.0))
 
 
 def test_non_separability_with_rotation():
@@ -189,20 +196,22 @@ def test_non_separability_with_rotation():
     for i in range(d):
         Xi = np.tile(b.x_opt, (10, 1))
         Xi[:, i] = X[:, i]
-        parts += b(Xi) - b(b.x_opt)
-    full = b(X) - b(b.x_opt)
+        parts += b(rows(Xi)) - b(b.x_opt)
+    full = b(rows(X)) - b(b.x_opt)
     assert not np.allclose(parts, full, rtol=1e-3)
 
 
 def test_counter_and_determinism():
     b = make_benchmark("alpine", 8, 3)
     X = np.random.default_rng(2).uniform(-1, 1, (17, 8))
-    v1 = b(X)
+    v1 = b(rows(X))
     x_single = X[0]
     v2 = b(x_single)
     assert b.evals == 18
-    assert v1[0] == v2
-    assert np.array_equal(v1, b(X))
+    # a point is evaluated as row 0 of fn's batch; a Lines batch rounds its
+    # own way (see test_lines_fast_path_matches_materialized)
+    assert b.fn(X)[0] == v2
+    assert np.array_equal(v1, b(rows(X)))
 
 
 def test_objective_shape_validation():
@@ -211,6 +220,9 @@ def test_objective_shape_validation():
         b(np.zeros(5))
     with pytest.raises(ValueError):
         b(np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="Lines"):  # a batch must be Lines
+        b(np.zeros((3, 4)))
+    assert b.evals == 0
 
 
 def test_objective_domain_helpers():
@@ -250,7 +262,7 @@ def test_lines_fast_path_matches_materialized(name):
     for _ in range(3):
         for lines in stencil_and_line_search_batches(b, rng):
             fast = b(lines)
-            slow = b(lines.points)
+            slow = b.fn(lines.points)
             assert fast.shape == slow.shape == (len(lines.directions) * len(lines.offsets),)
             np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
 
@@ -270,7 +282,7 @@ def test_lines_default_path_is_the_materialized_batch():
     F = Objective(lambda X: np.sum(X**2, axis=1), 6, (-1.0, 1.0))
     stencil, search = stencil_and_line_search_batches(F, np.random.default_rng(7))
     for lines in (stencil, search):
-        assert np.array_equal(F(lines), F(lines.points))
+        assert np.array_equal(F(lines), F.fn(lines.points))
 
 
 def test_lines_shape_validation():
@@ -291,7 +303,7 @@ def test_new_frame_gets_new_rotated_directions():
     for _ in range(3):
         frame = Frame(haar_rotation(10, rng))
         lines = Lines(origin, frame.matrix, offsets)
-        np.testing.assert_allclose(b(lines), b(lines.points), rtol=1e-12)
+        np.testing.assert_allclose(b(lines), b.fn(lines.points), rtol=1e-12)
         assert b._rotated[0] is frame.matrix
 
 
@@ -308,7 +320,7 @@ def test_writable_directions_are_never_cached():
         b(Lines(origin, D, offsets))
         directions *= 2.0  # a cached W would now be stale
         lines = Lines(origin, D, offsets)
-        np.testing.assert_allclose(b(lines), b(lines.points), rtol=1e-12)
+        np.testing.assert_allclose(b(lines), b.fn(lines.points), rtol=1e-12)
         # the frame's entry is neither replaced nor evicted
         assert b._rotated[0] is frame.matrix
 

@@ -304,9 +304,9 @@ def test_mc_two_sample_identity():
                        rng=np.random.default_rng(123))
     expected = (F(x + sigma * u) - F(x - sigma * u)) / (2 * sigma) * u
     np.testing.assert_allclose(g.vector, expected, rtol=1e-12)
-    # the samples come back with the points they were taken at
-    np.testing.assert_array_equal(g.points, [x + sigma * u, x - sigma * u])
-    np.testing.assert_array_equal(g.values, F.fn(g.points))
+    # the samples come back with the batch they were taken from
+    np.testing.assert_array_equal(g.lines.points, [x + sigma * u, x - sigma * u])
+    np.testing.assert_array_equal(g.values, F.fn(g.lines.points))
 
 
 def test_mc_odd_samples_rejected_when_antithetic():

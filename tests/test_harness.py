@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import adadgs
 from adadgs import cli, harness
 from adadgs.baselines import BaselineConfig
 from adadgs.benchmarks import make_benchmark, optimum_value
@@ -63,9 +65,10 @@ def test_single_row_when_budget_tiny(tmp_path):
     assert len(lines) == 2  # header + exactly one data row
 
 
-def test_rerun_byte_identical(tmp_path):
-    spec1 = small_spec(tmp_path / "a")
-    spec2 = small_spec(tmp_path / "b")
+@pytest.mark.parametrize("optimizer", harness.OPTIMIZERS)
+def test_rerun_byte_identical(tmp_path, optimizer):
+    spec1 = small_spec(tmp_path / "a", optimizer=optimizer)
+    spec2 = small_spec(tmp_path / "b", optimizer=optimizer)
     run_experiment(spec1)
     run_experiment(spec2)
     for k in range(3):
@@ -74,11 +77,12 @@ def test_rerun_byte_identical(tmp_path):
         assert a == b
 
 
-def test_parallel_execution_byte_identical(tmp_path, monkeypatch):
-    spec1 = small_spec(tmp_path / "serial")
+@pytest.mark.parametrize("optimizer", harness.OPTIMIZERS)
+def test_parallel_execution_byte_identical(tmp_path, monkeypatch, optimizer):
+    spec1 = small_spec(tmp_path / "serial", optimizer=optimizer)
     run_experiment(spec1)
     monkeypatch.setenv("ADADGS_WORKERS", "3")
-    spec2 = small_spec(tmp_path / "parallel")
+    spec2 = small_spec(tmp_path / "parallel", optimizer=optimizer)
     run_experiment(spec2)
     for k in range(3):
         a = (spec1.run_dir / f"trial_{k}.csv").read_bytes()
@@ -124,6 +128,24 @@ def test_summary_recomputable_from_csvs(tmp_path):
         assert abs(a["std_f_best"] - b["std_f_best"]) < 1e-12
 
 
+@pytest.mark.parametrize("optimizer", ["adadgs", "fd"])
+def test_after_best_share_recomputable_from_csvs(tmp_path, optimizer):
+    # the share of a trial's evaluations spent after the first row that
+    # reached its final f_best
+    spec = small_spec(tmp_path, optimizer=optimizer, budget=2000)
+    summary = run_experiment(spec)
+    shares = []
+    for k in range(spec.trials):
+        rows = [row.split(",") for row in
+                (spec.run_dir / f"trial_{k}.csv").read_text().splitlines()[1:]]
+        evals, f_best = [int(r[2]) for r in rows], [float(r[4]) for r in rows]
+        shares.append((evals[-1] - evals[f_best.index(f_best[-1])]) / evals[-1])
+    assert [t["after_best_share"] for t in summary["trials"]] == shares
+    saved = json.loads((spec.run_dir / "summary.json").read_text())
+    assert saved["trials"] == summary["trials"]
+    assert 0.0 <= min(shares) and max(shares) < 1.0
+
+
 @pytest.mark.parametrize("function", ["rastrigin", "styblinski_tang"])
 def test_median_reduction_recomputable_from_csvs(tmp_path, function):
     # styblinski_tang's optimum value is -39.166*d, not 0
@@ -146,8 +168,9 @@ def test_perfbench_tracer_reaches_every_layer(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     monkeypatch.delenv("ADADGS_WORKERS", raising=False)
     tracer = importlib.import_module("tracer").Tracer()
-    specs = [small_spec(tmp_path, dim=6, trials=2, budget=2000),
-             small_spec(tmp_path, dim=6, trials=1, budget=600, optimizer="es_bpop")]
+    specs = [small_spec(tmp_path, dim=6, trials=2, budget=2000)] + [
+        small_spec(tmp_path, dim=6, trials=1, budget=600, optimizer=optimizer)
+        for optimizer in ("es_bpop", "nesterov", "fd")]
     with tracer.install():
         for spec in specs:
             run_experiment(spec)
@@ -160,7 +183,8 @@ def test_perfbench_tracer_reaches_every_layer(tmp_path, monkeypatch):
             for spec in specs for k in range(spec.trials)]
     adadgs_iterations = sum(len(csv) - 2 for csv in csvs[:2])  # less header and f(x0)
     assert tracer.names.count("optimizer.step") == adadgs_iterations
-    assert [tracer.trial_points[k] for k in range(3)] == [
+    # every trial's points, counted at the objective, are its final evals
+    assert [tracer.trial_points[k] for k in range(5)] == [
         int(csv[-1].split(",")[2]) for csv in csvs]
 
 
@@ -224,12 +248,25 @@ def test_a_forked_worker_evaluates_blocks_in_threads(tmp_path):
     assert trial_csvs(default) == trial_csvs(serial)
 
 
-def test_manifest_records_the_thread_counts(tmp_path):
-    spec = small_spec(tmp_path, trials=1)
-    run_experiment(spec)
-    threads = json.loads((spec.run_dir / "manifest.json").read_text())["threads"]
+def test_manifest_records_the_thread_counts(tmp_path, monkeypatch):
+    # workers is the number of processes that ran trials: never more than
+    # the trials, and 1 when they ran in-process
     blas = 1 if harness._blas_thread_functions() is not None else None
-    assert threads == {"blas": blas, "eval": len(os.sched_getaffinity(0))}
+    built = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    for raw, trials, workers in ((None, 1, 1), ("5", 1, 1), ("5", 2, 2)):
+        if raw is None:
+            monkeypatch.delenv("ADADGS_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("ADADGS_WORKERS", raw)
+        spec = small_spec(tmp_path / f"{raw}-{trials}", trials=trials, budget=100)
+        run_experiment(spec)
+        manifest = json.loads((spec.run_dir / "manifest.json").read_text())
+        assert manifest["threads"] == {"blas": blas, "eval": len(os.sched_getaffinity(0)),
+                                       "workers": workers}
+        assert manifest["software"] == {
+            "adadgs": adadgs.__version__, "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": {"name": built["name"], "version": built["version"]}}
 
 
 def test_a_trial_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adadgs.benchmarks import Objective
+from adadgs.benchmarks import Lines, Objective
 from adadgs.errors import EvaluationError
 from adadgs.gradient import Frame
 from adadgs.optimizer import (
@@ -391,7 +391,7 @@ def test_drive_rejects_iteration_over_its_cost():
 
     def iterations(x, f0):
         while True:
-            F(np.zeros((3, 2)))  # three evaluations against a cost of two
+            F(Lines(np.zeros(2), np.eye(2)[:1], np.ones(3)))  # three against a cost of two
             yield Iterate(f0, 1.0, 0.0, x, f0)
 
     with pytest.raises(RuntimeError, match="cost"):

@@ -26,7 +26,7 @@ def test_echo_sphere_value():
 def test_batch_and_roundtrip_precision():
     with spawn(d=3) as F:
         X = np.array([[0.1, 0.2, 0.3], [1e-17, 2.0, -3.5]])
-        got = F(X)
+        got = F(Lines(np.zeros(3), X, np.ones(1)))  # the points X, as one batch
         np.testing.assert_array_equal(got, np.sum(X**2, axis=1))
         assert F.evals == 2
 
@@ -59,8 +59,14 @@ def test_bad_handshake_fails_before_optimization():
         spawn("bad-handshake")
 
 
-@pytest.mark.parametrize("path", ["normal", "bad-handshake", "timeout"])
-def test_close_closes_both_pipes_and_reaps_the_worker(monkeypatch, path):
+@pytest.mark.parametrize("path,failure", [
+    ("normal", None),
+    ("bad-handshake", "handshake"),
+    ("exit-at-handshake", "exited"),
+    ("hang-at-handshake", "timed out"),
+    ("timeout", None),
+], ids=["normal", "bad-handshake", "exit-at-handshake", "hang-at-handshake", "timeout"])
+def test_close_closes_both_pipes_and_reaps_the_worker(monkeypatch, path, failure):
     procs = []
     popen = subprocess.Popen
 
@@ -69,9 +75,9 @@ def test_close_closes_both_pipes_and_reaps_the_worker(monkeypatch, path):
         return procs[-1]
 
     monkeypatch.setattr(subprocess, "Popen", record)
-    if path == "bad-handshake":
-        with pytest.raises(EvaluationError, match="handshake"):
-            spawn("bad-handshake")
+    if failure is not None:  # the constructor fails, and must clean up itself
+        with pytest.raises(EvaluationError, match=failure):
+            spawn(path, timeout=0.5)
     else:
         with spawn("ok" if path == "normal" else "hang", timeout=0.5) as F:
             if path == "timeout":
