@@ -26,7 +26,7 @@ from .optimizer import Iterate, check_caps, drive
 class BaselineConfig:
     learning_rate: float
     sigma_or_h: float  # GS radius for es_bpop, difference step for nesterov/fd
-    population: int | None = None  # es_bpop only; default M*d handled by caller
+    population: int | None = None  # es_bpop only; run_config's default: 5*d rounded up to even
     budget: int | None = None
     T_max: int | None = None
     seed: int | None = None

@@ -240,7 +240,9 @@ class TransformedBenchmark(Objective):
     W = directions R^T, so no point array is built and the rotation costs
     k*d*d instead of k*m*d*d. W is kept for the last directions array that
     is read-only and owns its data (a `Frame`'s matrix), matched by
-    identity, so a frame is rotated once however often it is used.
+    identity, so a frame is rotated once however often it is used. The
+    identity frame, which every AdaDGS and `fd` trial starts from, is
+    rotated without a matmul: its W is a copy of R^T.
 
     The batch is built and evaluated in blocks of whole directions. A batch
     of at most `BLOCK_ELEMENTS` (2**18) coordinates runs serially in blocks
@@ -271,7 +273,11 @@ class TransformedBenchmark(Objective):
         origin, directions, offsets = lines
         cached, W = self._rotated
         if cached is not directions:
-            W = directions @ self.rotation.T
+            # I R^T is R^T bit for bit, so the identity frame needs no matmul
+            identity = (directions.shape == self.rotation.shape
+                        and (directions.diagonal() == 1).all()
+                        and np.count_nonzero(directions) == self.dim)
+            W = self.rotation.T.copy() if identity else directions @ self.rotation.T
             # a read-only array that owns its data cannot change under the cache
             if not directions.flags.writeable and directions.base is None:
                 self._rotated = (directions, W)

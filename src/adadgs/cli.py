@@ -11,8 +11,8 @@ import argparse
 import dataclasses
 import sys
 
-from .harness import (FIELDS_READ, OPTIMIZERS, PRESETS, ExperimentSpec, list_functions,
-                      preset, run_experiment)
+from .harness import (OPTIMIZERS, PRESETS, ExperimentSpec, list_functions, preset,
+                      run_experiment)
 from .optimizer import AdaDgsConfig
 
 # flag -> (field it sets, parser); the flag is --key with "_" -> "-"
@@ -59,22 +59,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    """The preset, if one is named, with the flags that were given on top. An
-    AdaDGS flag the optimizer never reads is an error, whatever its value;
-    `--preset` is not: a baseline takes from it only the fields it reads."""
+    """The preset, if one is named, with the flags that were given on top. A
+    baseline reads no AdaDGS option, so `--preset` or an AdaDGS flag given to
+    one is an error, whatever its value; the spec's `validate` checks the rest."""
 
     def given(table):
         return {fld: getattr(args, key) for key, (fld, _) in table.items()
                 if getattr(args, key) is not None}
 
-    for key, (fld, _) in _ADADGS_FIELDS.items():
-        if getattr(args, key) is not None and fld not in FIELDS_READ[args.optimizer]:
-            raise ValueError(f"optimizer {args.optimizer!r} does not read "
-                             f"--{key.replace('_', '-')} (field {fld!r})")
-    default = AdaDgsConfig()
-    unread = {fld: getattr(default, fld) for fld in FIELDS_READ["adadgs"]
-              if fld not in FIELDS_READ[args.optimizer]}
-    ada_cfg = dataclasses.replace(preset(args.preset), **unread) if args.preset else default
+    adadgs_flags = ["--preset"] * (args.preset is not None) + [
+        f"--{key.replace('_', '-')} (field {fld!r})"
+        for key, (fld, _) in _ADADGS_FIELDS.items() if getattr(args, key) is not None]
+    if adadgs_flags and args.optimizer != "adadgs":
+        raise ValueError(f"optimizer {args.optimizer!r} does not read {adadgs_flags[0]}")
+    ada_cfg = preset(args.preset) if args.preset else AdaDgsConfig()
     return ExperimentSpec(
         function=args.func,
         dim=args.dim,

@@ -41,11 +41,10 @@ from .optimizer import AdaDgsConfig, adadgs_minimize
 from .trace import Trace
 
 OPTIMIZERS = ("adadgs", "es_bpop", "nesterov", "fd")
-# the config fields each optimizer reads besides budget and seed; es_bpop
-# reads M for its default population M*d
-FIELDS_READ = {"adadgs": ("M", "L_max", "L_min", "S", "sigma0", "sigma0_scale", "gamma",
-                          "contraction", "reset_interval"),
-               "es_bpop": ("M", "learning_rate", "sigma_or_h", "population"),
+# the BaselineConfig fields each optimizer takes from baseline_overrides;
+# AdaDGS reads only its AdaDgsConfig, and a baseline none of it
+FIELDS_READ = {"adadgs": (),
+               "es_bpop": ("learning_rate", "sigma_or_h", "population"),
                "nesterov": ("learning_rate", "sigma_or_h"),
                "fd": ("learning_rate", "sigma_or_h")}
 # named starting configs; the paper's large-scale setting is used at every
@@ -76,7 +75,7 @@ class ExperimentSpec:
         """Reject the spec before any output is written; return its `run_config`."""
         if self.function not in BENCHMARKS:
             raise ValueError(f"unknown function {self.function!r}")
-        for name in ("dim", "trials"):
+        for name in ("dim", "trials", "budget"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -84,16 +83,17 @@ class ExperimentSpec:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        read = FIELDS_READ[self.optimizer]
-        for key in self.baseline_overrides:
-            if key not in read or key in FIELDS_READ["adadgs"]:
-                raise ValueError(f"optimizer {self.optimizer!r} does not read "
-                                 f"the baseline option {key!r}")
-        default = AdaDgsConfig()
-        for key in FIELDS_READ["adadgs"]:
-            if key not in read and getattr(self.adadgs, key) != getattr(default, key):
-                raise ValueError(f"optimizer {self.optimizer!r} does not read "
-                                 f"the AdaDGS option {key!r}")
+        # each optimizer reads only its own config: a baseline's adadgs must
+        # be AdaDgsConfig(), and only the fields FIELDS_READ names may be overridden
+        unread = [key for key in self.baseline_overrides
+                  if key not in FIELDS_READ[self.optimizer]]
+        if self.optimizer != "adadgs":
+            default = AdaDgsConfig()
+            unread += [f.name for f in dataclasses.fields(default)
+                       if getattr(self.adadgs, f.name) != getattr(default, f.name)]
+        if unread:
+            raise ValueError(f"optimizer {self.optimizer!r} does not read "
+                             f"the option {unread[0]!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         # the configs read only the domain, so no rotation is drawn
@@ -116,7 +116,7 @@ def run_config(spec: ExperimentSpec, objective) -> AdaDgsConfig | BaselineConfig
     """The run's optimizer config, resolved against the objective's domain and
     validated. Baseline defaults are scale-aware (the source text specifies
     none); an override is used as given, so an invalid one fails validation.
-    The default es_bpop population, M*d, is rounded up to even.
+    The default es_bpop population is 5*d rounded up to even.
     """
     if spec.optimizer == "adadgs":
         return dataclasses.replace(spec.adadgs, budget=spec.budget).resolved(objective)
@@ -126,10 +126,7 @@ def run_config(spec: ExperimentSpec, objective) -> AdaDgsConfig | BaselineConfig
         "nesterov": (0.001 * width, 1e-5 * width),
         "fd": (0.001, 1e-5 * width),
     }[spec.optimizer]
-    population = None
-    if spec.optimizer == "es_bpop":
-        population = spec.adadgs.M * spec.dim
-        population += population % 2
+    population = 5 * spec.dim + spec.dim % 2 if spec.optimizer == "es_bpop" else None
     settings = dict(learning_rate=learning_rate, sigma_or_h=sigma_or_h,
                     population=population, budget=spec.budget)
     cfg = BaselineConfig(**{**settings, **spec.baseline_overrides})

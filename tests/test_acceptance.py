@@ -138,7 +138,7 @@ def test_criterion_4_benchmark_optima():
 
 def _median_final(tmp_path, function, optimizer, dim=100, budget=300_000,
                   trials=20, seed=0):
-    # a baseline reads no field of the preset but M, which is the default 5
+    # a baseline reads only its own config, so it takes AdaDgsConfig()
     spec = ExperimentSpec(
         function=function, dim=dim, optimizer=optimizer, budget=budget,
         trials=trials, seed=seed, out_dir=str(tmp_path),

@@ -307,6 +307,25 @@ def test_new_frame_gets_new_rotated_directions():
         assert b._rotated[0] is frame.matrix
 
 
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_identity_frame_is_rotated_without_a_matmul(name):
+    # the premise: I R^T, and a reversed identity's P R^T, are R^T's rows bit for bit
+    d = 30
+    b = make_benchmark(name, d, 4)
+    R_T = b.rotation.T
+    assert (np.eye(d) @ R_T).tobytes() == R_T.tobytes()
+    assert (np.eye(d)[::-1] @ R_T).tobytes() == R_T[::-1].tobytes()
+    rng = np.random.default_rng(10)
+    origin, offsets = rng.uniform(*DOMAINS[name], d), np.array([-0.5, 0.5, 1.0])
+    identity = Frame.identity(d).matrix
+    values = b(Lines(origin, identity, offsets))
+    cached, W = b._rotated
+    assert cached is identity and W.flags.c_contiguous and W.tobytes() == R_T.tobytes()
+    # a reversed identity is no identity, so it takes the matmul path
+    reversed_values = b(Lines(origin, np.eye(d)[::-1], offsets))
+    assert np.array_equal(values, reversed_values.reshape(d, -1)[::-1].ravel())
+
+
 def test_writable_directions_are_never_cached():
     rng = np.random.default_rng(9)
     b = make_benchmark("ellipsoidal", 8, 3)

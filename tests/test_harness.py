@@ -1,8 +1,11 @@
+import argparse
 import dataclasses
 import importlib
 import json
 import os
 import platform
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -188,6 +191,18 @@ def test_perfbench_tracer_reaches_every_layer(tmp_path, monkeypatch):
         int(csv[-1].split(",")[2]) for csv in csvs]
 
 
+def test_every_perfbench_spec_validates(tmp_path, monkeypatch):
+    # the benchmark's specs are built outside src/; a rule they break would
+    # stop the benchmark, not a test
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    builders = [*workloads.WORKLOADS.values(), workloads.POOL, workloads.CONTROL]
+    specs = [spec for build in builders for spec in build(0, str(tmp_path))]
+    assert {spec.optimizer for spec in specs} == set(harness.OPTIMIZERS)
+    for spec in specs:
+        spec.validate()
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -302,9 +317,17 @@ def test_spec_with_an_option_the_optimizer_never_reads_is_rejected(kw, named):
         spec.validate()
 
 
-def test_es_bpop_spec_may_set_m():
-    spec = ExperimentSpec("ackley", 3, "es_bpop", budget=60, adadgs=AdaDgsConfig(M=3))
-    assert spec.validate().population == 10  # M*d = 9, rounded up to even
+@pytest.mark.parametrize("optimizer", ["es_bpop", "nesterov", "fd"])
+def test_a_baseline_spec_takes_only_the_default_adadgs_config(optimizer):
+    # es_bpop's default population is 5*d rounded up to even whatever M is,
+    # so a baseline reads no AdaDgsConfig field, M included, and no preset
+    assert ExperimentSpec("ackley", 3, optimizer, budget=60).validate().population == \
+        (16 if optimizer == "es_bpop" else None)
+    for adadgs, named in ((AdaDgsConfig(M=3), "'M'"), (AdaDgsConfig(seed=1), "'seed'"),
+                          (preset("paper-1000d"), "'S'")):
+        spec = ExperimentSpec("ackley", 3, optimizer, budget=60, adadgs=adadgs)
+        with pytest.raises(ValueError, match=f"{optimizer!r} does not read the option {named}"):
+            spec.validate()
 
 
 def test_trial_seeds_deterministic_and_distinct():
@@ -325,7 +348,7 @@ def test_budget_accounting_all_optimizers():
 def test_default_es_population_rounds_up_to_even():
     spec = ExperimentSpec(function="ellipsoidal", dim=5, optimizer="es_bpop", budget=300)
     cfg = run_config(spec, make_benchmark("ellipsoidal", 5, 0))
-    assert cfg.population == 26  # M*d = 25
+    assert cfg.population == 26  # 5*d = 25
 
 
 def test_manifest_records_the_resolved_config(tmp_path):
@@ -348,8 +371,10 @@ def test_manifest_records_the_resolved_config(tmp_path):
         learning_rate=0.002 * width, sigma_or_h=0.02 * width, population=26, budget=500))
 
 
-@pytest.mark.parametrize("kw", [dict(trials=2.5), dict(dim=3.5), dict(trials=True)],
-                         ids=["trials-float", "dim-float", "trials-bool"])
+@pytest.mark.parametrize("kw", [dict(trials=2.5), dict(dim=3.5), dict(trials=True),
+                                dict(budget=1e3), dict(budget=100.7), dict(budget=True)],
+                         ids=["trials-float", "dim-float", "trials-bool",
+                              "budget-float", "budget-fraction", "budget-bool"])
 def test_non_integer_dim_or_trials_is_an_error_before_any_output(tmp_path, kw):
     spec = ExperimentSpec(**{**dict(function="ackley", dim=3, optimizer="adadgs", budget=60,
                                     trials=2, out_dir=str(tmp_path)), **kw})
@@ -497,14 +522,11 @@ def test_cli_preset_flag(tmp_path):
     assert manifest["config"]["S"] == 12  # explicit flag overrides
 
 
-@pytest.mark.parametrize("optimizer", ["es_bpop", "fd"])
-def test_cli_preset_gives_a_baseline_only_the_fields_it_reads(tmp_path, optimizer):
-    # paper-1000d's M is the default 5; its other fields are AdaDGS-only
-    assert main(run_args(tmp_path / "preset", "--preset", "paper-1000d",
-                         optimizer=optimizer)) == 0
-    assert main(run_args(tmp_path / "none", optimizer=optimizer)) == 0
-    assert read_manifest(tmp_path / "preset", optimizer)["config"] == \
-        read_manifest(tmp_path / "none", optimizer)["config"]
+@pytest.mark.parametrize("optimizer", ["es_bpop", "nesterov", "fd"])
+def test_cli_preset_is_an_error_for_a_baseline(tmp_path, capsys, optimizer):
+    assert main(run_args(tmp_path, "--preset", "paper-1000d", optimizer=optimizer)) == 1
+    assert f"optimizer {optimizer!r} does not read --preset" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def run_args(tmp_path, *extra, optimizer="adadgs"):
@@ -543,10 +565,13 @@ def test_cli_baseline_flag_the_optimizer_never_reads_is_an_error(
     assert not (tmp_path / f"ellipsoidal_3_{optimizer}").exists()
 
 
-def test_cli_es_bpop_reads_gh_points_for_its_population(tmp_path):
-    # es_bpop's default population is M*d rounded up to even: 3*3 -> 10
-    assert main(run_args(tmp_path, "--gh-points", "3", optimizer="es_bpop")) == 0
-    assert read_manifest(tmp_path, "es_bpop")["config"]["population"] == 10
+@pytest.mark.parametrize("value", ["3", "5"])
+def test_cli_gh_points_is_an_error_for_es_bpop_whatever_its_value(tmp_path, capsys, value):
+    # 5 is M's default: es_bpop's population is 5*d whatever M is, so it reads no M
+    assert main(run_args(tmp_path, "--gh-points", value, optimizer="es_bpop")) == 1
+    err = capsys.readouterr().err
+    assert "'es_bpop' does not read --gh-points (field 'M')" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # Every adadgs and baseline flag and the field it sets: the flag names are
@@ -573,6 +598,55 @@ def test_cli_flag_table_is_the_field_tables():
               for flag, (section, fld, _) in FLAGS.items()}
     assert listed == {(section, key, fld) for section, table in tables.items()
                       for key, (fld, _) in table.items()}
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_flag_tables_name_the_run_parsers_flags():
+    tables = re.findall(r"^\| (?:Run|AdaDGS|Baseline) flag \|.*\n\|---.*\n((?:\|.*\n)+)",
+                        README, re.MULTILINE)
+    assert len(tables) == 3
+    listed = {flag for table in tables for row in table.splitlines()
+              for flag in re.findall(r"`(--[a-z0-9-]+)`", row.split("|")[1])}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for action in subparsers.choices["run"]._actions
+             for flag in action.option_strings if flag not in ("-h", "--help")}
+    assert listed == flags
+
+
+def readme_loop_commands():
+    """Each `adadgs run` of the README's comparison and scaling loops, as
+    argv with the loop variable substituted."""
+    section = README.split("### Comparisons and scaling studies", 1)[1]
+    script = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands, loop = [], None
+    for line in script.splitlines():
+        line = line.strip()
+        if match := re.fullmatch(r"for (\w+) in (.*); do", line):
+            loop = match[1], match[2].split()
+        elif line == "done":
+            loop = None
+        elif line.startswith("adadgs run"):
+            name, values = loop or (None, [None])
+            for value in values:
+                command = line
+                if name:
+                    command = re.sub(rf"\$\(\((\d+) \* {name}\)\)",
+                                     lambda m: str(int(m[1]) * int(value)), command)
+                    command = command.replace("$" + name, value)
+                commands.append(shlex.split(command)[1:])
+    return commands
+
+
+def test_readme_comparison_and_scaling_commands_are_valid():
+    commands = readme_loop_commands()
+    optimizers = {argv[argv.index("--optimizer") + 1] for argv in commands}
+    dims = {argv[argv.index("--dim") + 1] for argv in commands}
+    assert optimizers == set(harness.OPTIMIZERS) and {"200", "400", "1000"} <= dims
+    for argv in commands:
+        cli.build_spec(cli.build_parser().parse_args(argv)).validate()
 
 
 @pytest.mark.parametrize("flag", FLAGS)
