@@ -18,12 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import Lines
+from .errors import check_count, check_positive
 from .gradient import Frame, SampledGradient, finite_samples, gs_mc_gradient
 from .optimizer import Iterate, check_caps, drive
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
+    """A baseline's settings. `validate` checks learning_rate and sigma_or_h
+    with `check_positive` (positive and finite), population with
+    `check_count` (an integer >= 2, and even), and the caps as AdaDGS does."""
+
     learning_rate: float
     sigma_or_h: float  # GS radius for es_bpop, difference step for nesterov/fd
     population: int | None = None  # es_bpop only; run_config's default: 5*d rounded up to even
@@ -32,13 +37,12 @@ class BaselineConfig:
     seed: int | None = None
 
     def validate(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not self.sigma_or_h > 0:
-            raise ValueError(f"sigma_or_h must be positive, got {self.sigma_or_h}")
-        pop = self.population
-        if pop is not None and (not isinstance(pop, (int, np.integer)) or pop < 2 or pop % 2):
-            raise ValueError(f"population must be a positive even integer, got {pop}")
+        check_positive("learning_rate", self.learning_rate)
+        check_positive("sigma_or_h", self.sigma_or_h)
+        if self.population is not None:
+            check_count("population", self.population, 2)
+            if self.population % 2:
+                raise ValueError(f"population must be even, got {self.population}")
         check_caps(self.T_max, self.budget)
 
 

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, check_count
 
 
 class Lines(NamedTuple):
@@ -318,8 +318,7 @@ def make_benchmark(name: str, d: int, seed) -> TransformedBenchmark:
     """
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    check_count("d", d, 2)
     info = BENCHMARKS[name]
     rng = np.random.default_rng(seed)
     R = haar_rotation(d, rng)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .benchmarks import Lines
-from .errors import EvaluationError
+from .errors import EvaluationError, check_count, check_positive
 
 SQRT2 = np.sqrt(2.0)
 SQRT_PI = np.sqrt(np.pi)
@@ -44,10 +44,7 @@ class QuadratureRule:
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """The M-point Gauss-Hermite rule, exact for polynomials of degree
     <= 2M-1 under the weight exp(-v^2); its arrays are read-only."""
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    check_count("order", order, 1, MAX_ORDER)
     nodes, weights = np.polynomial.hermite.hermgauss(int(order))
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -111,8 +108,7 @@ def dgs_stencil(x: np.ndarray, frame: Frame, sigma: float, rule: QuadratureRule)
     x = np.asarray(x, float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite point x")
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_positive("sigma", sigma)
     if frame.dim != x.shape[0]:
         raise ValueError(f"frame dim {frame.dim} != point dim {x.shape[0]}")
     nodes = rule.nodes
@@ -173,8 +169,9 @@ def gs_mc_gradient(
     if rng is None:
         rng = np.random.default_rng()
     x = np.asarray(x, float)
-    if n_samples < 2 or n_samples % 2 != 0:
-        raise ValueError(f"n_samples must be a positive even number, got {n_samples}")
+    check_count("n_samples", n_samples, 2)
+    if n_samples % 2:
+        raise ValueError(f"n_samples must be even, got {n_samples}")
     U = rng.standard_normal((n_samples // 2, x.shape[0]))
     lines = Lines(x, U, np.array([sigma, -sigma]))
     values = finite_samples(F(lines))

@@ -27,6 +27,7 @@ import functools
 import json
 import os
 import platform
+import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -37,6 +38,7 @@ import numpy as np
 from . import __version__
 from .baselines import BaselineConfig, es_bpop_minimize, fd_minimize, nesterov_minimize
 from .benchmarks import BENCHMARKS, Objective, eval_threads, make_benchmark, optimum_value
+from .errors import check_count
 from .optimizer import AdaDgsConfig, adadgs_minimize
 from .trace import Trace
 
@@ -75,12 +77,8 @@ class ExperimentSpec:
         """Reject the spec before any output is written; return its `run_config`."""
         if self.function not in BENCHMARKS:
             raise ValueError(f"unknown function {self.function!r}")
-        for name in ("dim", "trials", "budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
+        for name, low in (("dim", 2), ("trials", 1), ("budget", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), low)
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         # each optimizer reads only its own config: a baseline's adadgs must
@@ -94,8 +92,11 @@ class ExperimentSpec:
         if unread:
             raise ValueError(f"optimizer {self.optimizer!r} does not read "
                              f"the option {unread[0]!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # the spec's own budget and seed set an AdaDGS run's, so its config sets neither
+        owned = [name for name in ("budget", "seed") if getattr(self.adadgs, name) is not None]
+        if owned:
+            raise ValueError(f"the spec sets {owned[0]}, so AdaDgsConfig.{owned[0]} must be "
+                             f"None, got {getattr(self.adadgs, owned[0])!r}")
         # the configs read only the domain, so no rotation is drawn
         info = BENCHMARKS[self.function]
         return run_config(self, Objective(info.fn, self.dim, (info.lower, info.upper)))
@@ -261,9 +262,8 @@ def n_workers() -> int:
     try:
         workers = int(raw)
     except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    check_count(WORKERS_ENV, workers, 1)
     return workers
 
 
@@ -301,6 +301,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         },
         "complete": False,
     }
+    # nothing of an earlier run into the same directory stays beside this one
+    for path in run_dir.iterdir():
+        if re.fullmatch(r"trial_\d+\.csv|summary\.json|manifest\.json", path.name):
+            path.unlink()
     _write_json(run_dir / "manifest.json", manifest)
 
     # each CSV is written when its trial arrives; if a trial raises, the

@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .benchmarks import Lines, Objective, haar_rotation
-from .gradient import Frame, dgs_gradient, finite_samples, gauss_hermite_rule
+from .errors import check_count, check_positive
+from .gradient import MAX_ORDER, Frame, dgs_gradient, finite_samples, gauss_hermite_rule
 from .trace import Trace
 
 DEGENERATE_NORM = 1e-12
@@ -35,13 +36,19 @@ DEGENERATE_NORM = 1e-12
 class AdaDgsConfig:
     """Hyper-parameters; None fields are resolved from the objective.
 
-    M is the Gauss-Hermite order (2 to 64); a zero node, which odd M has,
-    is never sampled. L_max defaults to the search-domain diagonal, L_min
-    to 0.005*L_max (or L_max * contraction**(S-1) when a contraction factor
-    is given), S to max(12, round(0.05*M*d)), and sigma0 to sigma0_scale
-    times the domain width. The search starts from the identity frame; a
-    reset draws a random one. The next radius is the mean of the current
-    one and the distance the line search moved.
+    M is the Gauss-Hermite order (2 to MAX_ORDER, 64); a zero node, which
+    odd M has, is never sampled. L_max defaults to the search-domain
+    diagonal, L_min to 0.005*L_max (or L_max * contraction**(S-1) when a
+    contraction factor is given), S to max(12, round(0.05*M*d)), and sigma0
+    to sigma0_scale times the domain width. The search starts from the
+    identity frame; a reset draws a random one. The next radius is the mean
+    of the current one and the distance the line search moved.
+
+    `validate` checks the counts (M, S, reset_interval, T_max, budget) with
+    `check_count`, so a float or a bool is an error, and L_max, L_min and
+    sigma0 with `check_positive`, so each is positive and finite. In an
+    `ExperimentSpec` the spec's own budget and seed set the run's, and
+    this config must leave both None.
     """
 
     M: int = 5
@@ -74,21 +81,19 @@ class AdaDgsConfig:
         return cfg
 
     def validate(self) -> None:
-        if not (isinstance(self.M, (int, np.integer)) and 2 <= self.M <= 64):
-            raise ValueError(f"M must be an integer in 2..64 (the 1-point rule's only "
-                             f"node is 0, so it samples nothing), got {self.M}")
-        if not np.isfinite(self.L_max):
-            raise ValueError(f"L_max must be finite, got {self.L_max}")
-        if not (self.L_min is not None and 0 < self.L_min < self.L_max):
-            raise ValueError(f"need 0 < L_min < L_max, got {self.L_min}, {self.L_max}")
-        if not (isinstance(self.S, (int, np.integer)) and self.S >= 2):
-            raise ValueError(f"S must be an integer >= 2, got {self.S}")
-        if not 0 < self.sigma0 < np.inf:
-            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
+        if self.M == 1:
+            raise ValueError(f"M must be in 2..{MAX_ORDER} (the 1-point rule's only node "
+                             f"is 0, so it samples nothing), got {self.M!r}")
+        check_count("M", self.M, 2, MAX_ORDER)
+        check_positive("L_max", self.L_max)
+        check_positive("L_min", self.L_min)
+        if not self.L_min < self.L_max:
+            raise ValueError(f"need L_min < L_max, got {self.L_min}, {self.L_max}")
+        check_count("S", self.S, 2)
+        check_positive("sigma0", self.sigma0)
         if not self.gamma >= 0:  # NaN included: it would turn the stall test off
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.reset_interval < 0:
-            raise ValueError(f"reset_interval must be >= 0, got {self.reset_interval}")
+        check_count("reset_interval", self.reset_interval, 0)
         check_caps(self.T_max, self.budget)
 
     def stencil_size(self, d: int) -> int:
@@ -99,10 +104,10 @@ def check_caps(T_max, budget) -> None:
     """Need T_max >= 0 iterations, a budget of >= 1 evaluation (f(x0)), or both."""
     if T_max is None and budget is None:
         raise ValueError("need at least one of T_max, budget")
-    if T_max is not None and T_max < 0:
-        raise ValueError(f"T_max must be >= 0, got {T_max}")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    if T_max is not None:
+        check_count("T_max", T_max, 0)
+    if budget is not None:
+        check_count("budget", budget, 1)
 
 
 class Iterate(NamedTuple):
@@ -192,15 +197,13 @@ def line_search(F, x, g, L_max, L_min, S, f_x) -> LineSearchResult:
 
 def sigma_update(sigma_prev: float, step: float) -> float:
     """Next smoothing radius: the mean of the previous radius and the step."""
-    if not sigma_prev > 0:
-        raise ValueError(f"sigma_prev must be positive, got {sigma_prev}")
+    check_positive("sigma_prev", sigma_prev)
     return 0.5 * (sigma_prev + step)
 
 
 def random_rotation(d: int, rng: np.random.Generator) -> Frame:
     """Haar-distributed random orthonormal frame."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    check_count("d", d, 1)
     return Frame(haar_rotation(d, rng))
 
 

@@ -119,6 +119,31 @@ def test_failing_trial_keeps_earlier_csvs(tmp_path, monkeypatch):
     assert json.loads((spec.run_dir / "manifest.json").read_text())["complete"] is False
 
 
+def test_rerun_into_the_same_directory_leaves_only_its_own_trials(tmp_path):
+    run_experiment(small_spec(tmp_path, trials=4))
+    spec = small_spec(tmp_path, trials=2)
+    run_experiment(spec)
+    assert sorted(p.name for p in spec.run_dir.glob("trial_*")) == ["trial_0.csv",
+                                                                      "trial_1.csv"]
+    assert json.loads((spec.run_dir / "manifest.json").read_text())["trials"] == 2
+
+
+def test_failing_rerun_leaves_no_summary_of_the_earlier_run(tmp_path, monkeypatch):
+    run_experiment(small_spec(tmp_path))
+
+    def run_or_fail(spec, trial):
+        if trial == 1:
+            raise RuntimeError("trial 1 failed")
+        return run_trial(spec, trial)
+
+    monkeypatch.setattr(harness, "run_trial", run_or_fail)
+    spec = small_spec(tmp_path)
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        run_experiment(spec)
+    assert sorted(p.name for p in spec.run_dir.iterdir()) == ["manifest.json", "trial_0.csv"]
+    assert json.loads((spec.run_dir / "manifest.json").read_text())["complete"] is False
+
+
 def test_summary_recomputable_from_csvs(tmp_path):
     spec = small_spec(tmp_path, optimizer="fd", budget=400)
     summary = run_experiment(spec)
@@ -371,14 +396,28 @@ def test_manifest_records_the_resolved_config(tmp_path):
         learning_rate=0.002 * width, sigma_or_h=0.02 * width, population=26, budget=500))
 
 
-@pytest.mark.parametrize("kw", [dict(trials=2.5), dict(dim=3.5), dict(trials=True),
-                                dict(budget=1e3), dict(budget=100.7), dict(budget=True)],
-                         ids=["trials-float", "dim-float", "trials-bool",
-                              "budget-float", "budget-fraction", "budget-bool"])
-def test_non_integer_dim_or_trials_is_an_error_before_any_output(tmp_path, kw):
+@pytest.mark.parametrize("kw,named", [
+    (dict(trials=2.5), "must be an integer"), (dict(dim=3.5), "must be an integer"),
+    (dict(trials=True), "must be an integer"), (dict(budget=1e3), "must be an integer"),
+    (dict(budget=100.7), "must be an integer"), (dict(budget=True), "must be an integer"),
+    (dict(seed=1.5), "seed must be an integer"), (dict(seed=-1), "seed must be >= 0"),
+], ids=["trials-float", "dim-float", "trials-bool", "budget-float", "budget-fraction",
+        "budget-bool", "seed-float", "seed-negative"])
+def test_invalid_spec_count_is_an_error_before_any_output(tmp_path, kw, named):
     spec = ExperimentSpec(**{**dict(function="ackley", dim=3, optimizer="adadgs", budget=60,
                                     trials=2, out_dir=str(tmp_path)), **kw})
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(ValueError, match=named):
+        run_experiment(spec)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["budget", "seed"])
+def test_an_adadgs_spec_owns_budget_and_seed(tmp_path, name):
+    # the spec's budget and seed set the run's; a config that sets its own
+    # would be replaced without a word, so it is an error before any output
+    spec = ExperimentSpec("ackley", 3, "adadgs", 60, trials=1, out_dir=str(tmp_path),
+                          adadgs=AdaDgsConfig(**{name: 7}))
+    with pytest.raises(ValueError, match=f"AdaDgsConfig.{name} must be None"):
         run_experiment(spec)
     assert list(tmp_path.iterdir()) == []
 
@@ -473,7 +512,13 @@ def test_cli_run_and_errors(tmp_path, capsys):
     (["--dim", "3", "--reset-interval", "-4"], "reset_interval"),
     (["--dim", "3", "--gamma", "nan"], "gamma"),
     (["--dim", "3", "--budget", "0"], "budget must be >= 1"),
-], ids=["dim-1", "gh-points-1", "reset-interval", "gamma-nan", "budget-0"])
+    (["--dim", "3", "--seed", "-1"], "seed must be >= 0"),
+    (["--dim", "3", "--optimizer", "fd", "--learning-rate", "inf"],
+     "learning_rate must be positive and finite"),
+    (["--dim", "3", "--optimizer", "es_bpop", "--sigma-or-h", "inf"],
+     "sigma_or_h must be positive and finite"),
+], ids=["dim-1", "gh-points-1", "reset-interval", "gamma-nan", "budget-0", "seed-negative",
+        "fd-learning-rate-inf", "es_bpop-sigma-or-h-inf"])
 def test_cli_invalid_run_is_an_error_before_any_output(tmp_path, capsys, args, named):
     assert main(["run", "--func", "ackley", "--optimizer", "adadgs", "--trials", "2",
                  "--budget", "300", "--out", str(tmp_path), *args]) == 1
@@ -614,6 +659,15 @@ def test_readme_flag_tables_name_the_run_parsers_flags():
     flags = {flag for action in subparsers.choices["run"]._actions
              for flag in action.option_strings if flag not in ("-h", "--help")}
     assert listed == flags
+
+
+def test_readme_quick_start_runs_as_written():
+    section = README.split("## Quick start", 1)[1]
+    namespace = {}
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    F, x0, trace = namespace["F"], namespace["x0"], namespace["trace"]
+    assert namespace["f_best"] < F(x0)
+    assert len(trace.rows) >= 2
 
 
 def readme_loop_commands():
