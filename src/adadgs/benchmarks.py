@@ -41,11 +41,12 @@ class Lines(NamedTuple):
 class Objective:
     """A counted black-box loss function with an initial search domain.
 
-    Accepts a single point of shape (d,) or a `Lines` batch, the one batch
-    form; the evaluation counter increments by the number of points
-    evaluated. `fn` maps an (n, d) array to n values. A `Lines` batch goes
-    to `_eval_lines`, which builds its points and calls `fn`; a subclass
-    may override that hook to use the batch's structure.
+    `dim` is a count, checked with `check_count`. Accepts a single point of
+    shape (d,) or a `Lines` batch, the one batch form; the evaluation
+    counter increments by the number of points evaluated. `fn` maps an
+    (n, d) array to n values. A `Lines` batch goes to `_eval_lines`, which
+    builds its points and calls `fn`; a subclass may override that hook to
+    use the batch's structure.
     """
 
     def __init__(
@@ -54,6 +55,7 @@ class Objective:
         dim: int,
         bounds: tuple[np.ndarray, np.ndarray],
     ):
+        check_count("dim", dim, 1)
         self.fn = fn
         self.dim = int(dim)
         lower, upper = bounds
@@ -349,6 +351,7 @@ class SubprocessObjective(Objective):
     """
 
     def __init__(self, command, dim: int, bounds=None, timeout: float | None = 30.0):
+        check_count("dim", dim, 1)  # before the worker starts, so none is left running
         if isinstance(command, str):
             command = shlex.split(command)
         if bounds is None:

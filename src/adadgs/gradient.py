@@ -157,7 +157,7 @@ def gs_mc_gradient(
     x: np.ndarray,
     sigma: float,
     n_samples: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> SampledGradient:
     """Monte-Carlo estimate of the Gaussian-smoothed gradient.
 
@@ -166,8 +166,6 @@ def gs_mc_gradient(
     each (u, -u) pair cancels even-order terms exactly (a constant F yields
     exactly 0).
     """
-    if rng is None:
-        rng = np.random.default_rng()
     x = np.asarray(x, float)
     check_count("n_samples", n_samples, 2)
     if n_samples % 2:

@@ -2,8 +2,9 @@
 
 Each trial draws its own benchmark instance (rotation + optimum location)
 and initial point from seeds derived deterministically from the master
-seed, runs the chosen optimizer, and writes one CSV. A summary aggregates
-best-loss statistics across trials on a fixed evaluation-count grid.
+seed, runs the chosen optimizer and hands back its `Trace`, written as one
+CSV that `parse_trace_csv` reads back. A summary aggregates best-loss
+statistics across the traces on a fixed evaluation-count grid.
 
 `run_config` is the one place a run's optimizer config is built: resolved
 against the function's domain and validated. `manifest.json` records it.
@@ -12,10 +13,10 @@ A trial runs with numpy's BLAS on one thread (`blas_threads`), so its CSV
 does not depend on the machine's BLAS thread count; a large stencil is
 spread over the CPUs by the benchmark itself (`benchmarks.eval_threads`).
 
-`run_trial`, `parse_trace_csv`, `summarize`, `make_benchmark` and the three
-baseline `*_minimize` functions stay module-level names, looked up through
-this module on every call: `perfbench/tracer.py` times each layer by
-rebinding them from outside.
+`run_trial`, `summarize`, `make_benchmark` and the three baseline
+`*_minimize` functions stay module-level names, looked up through this
+module on every call, and `parse_trace_csv` stays defined here:
+`perfbench/tracer.py` times each layer by rebinding them from outside.
 """
 
 from __future__ import annotations
@@ -190,19 +191,19 @@ def run_trial(spec: ExperimentSpec, trial: int) -> Trace:
     return trace
 
 
-def _run_trial_csv(args) -> tuple[int, str]:
-    spec, trial = args
-    return trial, run_trial(spec, trial).to_csv(trial)
+def _run_trial(spec: ExperimentSpec, trial: int) -> Trace:
+    # the pool pickles this name, never a rebound run_trial, which it looks up
+    return run_trial(spec, trial)
 
 
-def _trial_csvs(spec: ExperimentSpec, workers: int):
-    """Yield (trial, CSV text) in trial order, in-process or from a pool."""
-    jobs = [(spec, k) for k in range(spec.trials)]
+def _trial_traces(spec: ExperimentSpec, workers: int):
+    """Yield each trial's Trace in trial order, in-process or from a pool."""
+    jobs = ([spec] * spec.trials, range(spec.trials))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_run_trial_csv, jobs)
+            yield from pool.map(_run_trial, *jobs)
     else:
-        yield from map(_run_trial_csv, jobs)
+        yield from map(_run_trial, *jobs)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -227,17 +228,17 @@ def summarize(traces: list[Trace], budget: int, optimum: float) -> dict:
     median over trials of (f_best[0] - optimum) / max(f_best[-1] - optimum, 1e-300),
     and per trial the share of evaluations after it first reached its final f_best."""
     grid = checkpoint_grid(budget)
-    rows = []
-    for cp in grid:
-        vals = np.array([tr.f_best_at(cp) for tr in traces])
-        rows.append({
-            "evals": cp,
-            "mean_f_best": float(np.mean(vals)),
-            "std_f_best": float(np.std(vals)),
-            "median_f_best": float(np.median(vals)),
-        })
+    columns = [np.array(tr.rows)[:, [1, 3]].T for tr in traces]  # evals, f_best
+    # each checkpoint's f_best: the last row's within it, or the first row's;
+    # a C-contiguous (checkpoints, trials) array reduces as each 1-D row would
+    vals = np.stack([f_best[np.maximum(np.searchsorted(evals, grid, "right") - 1, 0)]
+                     for evals, f_best in columns], axis=-1)
+    stats = [stat(vals, axis=-1).tolist() for stat in (np.mean, np.std, np.median)]
+    rows = [{"evals": cp, "mean_f_best": mean, "std_f_best": std, "median_f_best": median}
+            for cp, mean, std, median in zip(grid, *stats)]
     final = np.array([tr.final.f_best for tr in traces])
-    reached = [next(r.evals for r in tr if r.f_best == tr.final.f_best) for tr in traces]
+    reached = [tr.rows[np.argmax(f_best == f_best[-1])].evals
+               for tr, (_, f_best) in zip(traces, columns)]
     reduction = [(tr.rows[0].f_best - optimum) / max(tr.final.f_best - optimum, 1e-300)
                  for tr in traces]
     return {
@@ -309,12 +310,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     # each CSV is written when its trial arrives; if a trial raises, the
     # earlier CSVs stay and the manifest stays marked incomplete
-    csv_texts = []
-    for trial, csv_text in _trial_csvs(spec, workers):
-        _atomic_write(run_dir / f"trial_{trial}.csv", csv_text)
-        csv_texts.append(csv_text)
-
-    traces = [parse_trace_csv(text) for text in csv_texts]
+    traces = []
+    for trial, trace in enumerate(_trial_traces(spec, workers)):
+        _atomic_write(run_dir / f"trial_{trial}.csv", trace.to_csv(trial))
+        traces.append(trace)
     summary = summarize(traces, spec.budget, optimum)
     _write_json(run_dir / "summary.json", summary)
     manifest["complete"] = True

@@ -129,9 +129,12 @@ def drive(F, x0, sigma0, iterations, cost, T_max, budget) -> tuple[np.ndarray, f
     starts an iteration only while fewer than T_max have run and `cost`
     more evaluations fit in the budget (either cap may be None), keeps the
     best point, and appends one trace row per iteration, its evaluation
-    count read from F's own counter.
+    count read from F's own counter. A start point with a non-finite
+    coordinate is a ValueError before any evaluation.
     """
     x0 = np.asarray(x0, float)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("non-finite initial point")
     start = F.evals
     f0 = float(finite_samples(F(x0)))
     x_best, f_best = x0, f0
@@ -234,8 +237,6 @@ def adadgs_minimize(F, x0, cfg: AdaDgsConfig) -> tuple[np.ndarray, float, Trace]
     `reset_interval` iterations ago.
     """
     x0 = np.asarray(x0, float)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("non-finite initial point")
     cfg = cfg.resolved(F)
     d = x0.shape[0]
     rng = np.random.default_rng(cfg.seed)

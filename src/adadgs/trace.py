@@ -46,15 +46,6 @@ class Trace:
     def final(self) -> TraceRow:
         return self.rows[-1]
 
-    def f_best_at(self, eval_budget: int) -> float:
-        """Best loss among rows recorded within the given evaluation count."""
-        best = self.rows[0].f_best
-        for row in self.rows:
-            if row.evals > eval_budget:
-                break
-            best = row.f_best
-        return best
-
     def to_csv(self, trial: int) -> str:
         """CSV body with shortest round-trip decimal formatting."""
         buf = io.StringIO()

@@ -44,6 +44,13 @@ def test_es_constant_never_moves():
     assert f_best == 3.0
 
 
+def test_es_without_a_population_is_an_error_before_any_evaluation():
+    F = sphere(3)
+    with pytest.raises(ValueError, match="es_bpop needs a population"):
+        es_bpop_minimize(F, np.ones(3), BaselineConfig(0.1, 0.1, T_max=3))
+    assert F.evals == 0
+
+
 def test_es_budget_below_population():
     F = sphere(3)
     x0 = np.ones(3)

@@ -225,6 +225,18 @@ def test_objective_shape_validation():
     assert b.evals == 0
 
 
+@pytest.mark.parametrize("dim", [3.7, True, 0, np.float64(3.0)])
+def test_objective_dim_is_a_count(dim):
+    # int(dim) made 3.7 a 3-d objective and True a 1-d one
+    with pytest.raises(ValueError, match="dim must be"):
+        Objective(lambda X: X[:, 0], dim, (-5.0, 5.0))
+
+
+def test_objective_takes_a_numpy_integer_dim():
+    F = Objective(lambda X: X[:, 0], np.int64(3), (-5.0, 5.0))
+    assert F.dim == 3 and type(F.dim) is int
+
+
 def test_objective_domain_helpers():
     F = Objective(lambda X: X[:, 0], 4, (-2.0, 6.0))
     assert F.domain_width == 8.0

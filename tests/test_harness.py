@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import importlib
+import itertools
 import json
 import os
 import platform
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adadgs
 from adadgs import cli, harness
@@ -32,7 +35,7 @@ from adadgs.harness import (
     trial_seeds,
 )
 from adadgs.optimizer import AdaDgsConfig
-from adadgs.trace import CSV_HEADER
+from adadgs.trace import CSV_HEADER, Trace
 
 
 def small_spec(tmp_path, **kw):
@@ -149,11 +152,100 @@ def test_summary_recomputable_from_csvs(tmp_path):
     summary = run_experiment(spec)
     traces = [parse_trace_csv((spec.run_dir / f"trial_{k}.csv").read_text())
               for k in range(spec.trials)]
-    recomputed = summarize(traces, spec.budget, optimum_value("rastrigin", 5))
-    for a, b in zip(summary["checkpoints"], recomputed["checkpoints"]):
-        assert a["evals"] == b["evals"]
-        assert abs(a["mean_f_best"] - b["mean_f_best"]) < 1e-12
-        assert abs(a["std_f_best"] - b["std_f_best"]) < 1e-12
+    # the summary is made from the in-memory traces; the CSVs hold them exactly
+    assert summarize(traces, spec.budget, optimum_value("rastrigin", 5)) == summary
+
+
+def reference_summary(traces, budget, optimum):
+    """The summary as first written: every trace scanned once per checkpoint."""
+    def f_best_at(trace, eval_budget):
+        best = trace.rows[0].f_best
+        for row in trace.rows:
+            if row.evals > eval_budget:
+                break
+            best = row.f_best
+        return best
+
+    rows = []
+    for cp in checkpoint_grid(budget):
+        vals = np.array([f_best_at(tr, cp) for tr in traces])
+        rows.append({"evals": cp, "mean_f_best": float(np.mean(vals)),
+                     "std_f_best": float(np.std(vals)), "median_f_best": float(np.median(vals))})
+    final = np.array([tr.final.f_best for tr in traces])
+    reached = [next(r.evals for r in tr if r.f_best == tr.final.f_best) for tr in traces]
+    reduction = [(tr.rows[0].f_best - optimum) / max(tr.final.f_best - optimum, 1e-300)
+                 for tr in traces]
+    return {
+        "checkpoints": rows,
+        "final": {"mean_f_best": float(np.mean(final)), "std_f_best": float(np.std(final)),
+                  "median_f_best": float(np.median(final)), "min_f_best": float(np.min(final)),
+                  "max_f_best": float(np.max(final)),
+                  "median_reduction": float(np.median(reduction))},
+        "trials": [{"after_best_share": (tr.final.evals - at) / tr.final.evals}
+                   for tr, at in zip(traces, reached)],
+    }
+
+
+@st.composite
+def monotone_traces(draw):
+    """A trace whose evals strictly increase from >= 1 and whose f_best
+    never increases, with ties."""
+    n = draw(st.integers(1, 30))
+    gaps = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 3.0]) | st.floats(-1e6, 1e6),
+                           min_size=n, max_size=n))
+    trace = Trace()
+    for k, (evals, f_best) in enumerate(zip(itertools.accumulate(gaps),
+                                            sorted(values, reverse=True))):
+        trace.append(k, evals, f_best + k, f_best, 1.0, 0.0)
+    return trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces=st.lists(monotone_traces(), min_size=1, max_size=25),
+       budget=st.integers(1, 2000), optimum=st.sampled_from([0.0, -2.0, 0.25]))
+def test_summarize_equals_the_per_checkpoint_scan(traces, budget, optimum):
+    # 20 and more trials take numpy's pairwise sum; every field, bit for bit
+    summary = summarize(traces, budget, optimum)
+    reference = reference_summary(traces, budget, optimum)
+    assert summary == reference
+    assert json.dumps(summary) == json.dumps(reference)  # -0.0 and 0.0 differ as text
+
+
+def test_trace_evals_must_strictly_increase():
+    trace = Trace()
+    trace.append(0, 5, 2.0, 2.0, 1.0, 0.0)
+    for evals in (5, 4):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            trace.append(1, evals, 1.0, 1.0, 1.0, 0.0)
+    assert len(trace) == 1
+
+
+def test_trace_f_best_must_not_increase():
+    trace = Trace()
+    trace.append(0, 1, 2.0, 2.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="non-increasing"):
+        trace.append(1, 2, 3.0, 2.5, 1.0, 0.0)
+    trace.append(1, 2, 3.0, 2.0, 1.0, 0.0)  # a tie is no increase
+    assert [row.f_best for row in trace] == [2.0, 2.0]
+
+
+@pytest.mark.parametrize("fail", ["write", "replace"])
+def test_atomic_write_that_fails_leaves_the_target_and_no_temporary_file(
+        tmp_path, monkeypatch, fail):
+    target = tmp_path / "summary.json"
+    target.write_text("earlier\n")
+    if fail == "replace":
+        def replace(src, dst):
+            raise OSError("replace failed")
+        monkeypatch.setattr(os, "replace", replace)
+        text, error = "later\n", OSError
+    else:
+        text, error = "later \ud800\n", UnicodeEncodeError  # a lone surrogate has no encoding
+    with pytest.raises(error):
+        harness._atomic_write(target, text)
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+    assert target.read_text() == "earlier\n"
 
 
 @pytest.mark.parametrize("optimizer", ["adadgs", "fd"])
@@ -205,7 +297,7 @@ def test_perfbench_tracer_reaches_every_layer(tmp_path, monkeypatch):
     assert {"optimizer.step", "optimizer.reset", "optimizer.line_search", "gradient.dgs",
             "gradient.stencil", "benchmarks.objective", "benchmarks.base_fn",
             "benchmarks.make", "baselines.trial", "harness.trial", "trace.to_csv",
-            "harness.parse", "harness.summarize"} <= set(tracer.names)
+            "harness.summarize"} <= set(tracer.names)
 
     csvs = [(spec.run_dir / f"trial_{k}.csv").read_text().splitlines()
             for spec in specs for k in range(spec.trials)]
@@ -408,6 +500,12 @@ def test_invalid_spec_count_is_an_error_before_any_output(tmp_path, kw, named):
                                     trials=2, out_dir=str(tmp_path)), **kw})
     with pytest.raises(ValueError, match=named):
         run_experiment(spec)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_optimizer_is_an_error_before_any_output(tmp_path):
+    with pytest.raises(ValueError, match="unknown optimizer 'cmaes'"):
+        run_experiment(small_spec(tmp_path, optimizer="cmaes"))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from adadgs.baselines import BaselineConfig, es_bpop_minimize, fd_minimize, nesterov_minimize
 from adadgs.benchmarks import Lines, Objective
 from adadgs.errors import EvaluationError
 from adadgs.gradient import Frame
@@ -384,6 +385,20 @@ def test_minimize_nonfinite_start_raises():
     F = Objective(lambda X: np.where(np.all(X == 1.0, axis=1), np.inf, 1.0), 3, (-1, 1))
     with pytest.raises(EvaluationError):
         adadgs_minimize(F, np.ones(3), AdaDgsConfig(T_max=2))
+
+
+@pytest.mark.parametrize("run,cfg", [
+    (adadgs_minimize, AdaDgsConfig(T_max=3)),
+    (es_bpop_minimize, BaselineConfig(0.1, 0.1, population=10, T_max=3)),
+    (nesterov_minimize, BaselineConfig(0.1, 1e-3, T_max=3)),
+    (fd_minimize, BaselineConfig(0.1, 1e-3, T_max=3)),
+], ids=["adadgs", "es_bpop", "nesterov", "fd"])
+def test_nan_start_point_is_an_error_before_any_evaluation(run, cfg):
+    # one rule in drive for all four: the start point is at fault, not the objective
+    F = sphere(3)
+    with pytest.raises(ValueError, match="non-finite initial point"):
+        run(F, np.array([0.5, np.nan, 0.5]), cfg)
+    assert F.evals == 0
 
 
 def test_drive_rejects_iteration_over_its_cost():

@@ -17,6 +17,16 @@ def spawn(mode="ok", d=2, timeout=10.0):
                                bounds=(-10.0, 10.0), timeout=timeout)
 
 
+@pytest.mark.parametrize("dim", [3.7, True])
+def test_dim_is_checked_before_the_worker_starts(dim, monkeypatch):
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(subprocess, "Popen", no_worker)
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        SubprocessObjective([sys.executable, str(HELPER), "ok"], dim, bounds=(-10.0, 10.0))
+
+
 def test_echo_sphere_value():
     with spawn() as F:
         assert F(np.array([3.0, 4.0])) == 25.0
