@@ -14,7 +14,7 @@ import os
 import select
 import shlex
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -206,16 +206,21 @@ def optimum_value(name: str, d: int) -> float:
 
 
 # Elements of Z per block of a Lines batch. A batch of more than BLOCK_ELEMENTS
-# is spread over the CPUs in blocks of at most that many: one d=1000 stencil
-# call (4000 x 1000 points, rotated Ackley) took 166 ms unblocked, 133 ms in
-# blocks of 2**18 on one thread and 74 ms on 2 CPUs. A smaller batch is
+# is spread over the CPUs in blocks of at most that many (512 KiB of float64):
+# one d=1000 stencil call (4000 x 1000 points, rotated Ackley, median of 40)
+# took 154-178 ms unblocked, 126-146 ms in blocks of 2**16 on one thread and
+# 80 ms on 2 CPUs, when the host ran both vCPUs at once (127-141 ms when it did
+# not). Blocks of 2**18 took as long, but each thread's malloc arena keeps its
+# blocks' temporaries: a d=1000 trial peaked at 101.6 MB RSS in blocks of 2**18
+# on a pool made for each call, 95.5 MB in such blocks on the kept pool, and
+# 94.2 and 92.0 MB in blocks of 2**16 on the two pools. A smaller batch is
 # evaluated serially in blocks of at most SERIAL_BLOCK_ELEMENTS: 2**14 float64
 # is 128 KiB, glibc's default mmap threshold, so malloc reuses each block's
-# temporaries from the heap instead of mapping fresh pages on every call. Two
-# d=100 Rastrigin trials of 5e4 evaluations took 65.6k minor page faults in one
-# block, 40k in blocks of 2**15 and 1.6k in blocks of 2**14 (numpy 2.4.6,
-# OpenBLAS 0.3.31, the BLAS on one thread).
-BLOCK_ELEMENTS = 2**18
+# temporaries from the heap instead of mapping fresh pages on every call. A
+# rerun of two d=100 Rastrigin trials of 5e4 evaluations took 65.7k minor page
+# faults in one block, 58k in blocks of 2**15 and 0.34k in blocks of 2**14
+# (numpy 2.4.6, OpenBLAS 0.3.31, the BLAS on one thread).
+BLOCK_ELEMENTS = 2**16
 SERIAL_BLOCK_ELEMENTS = 2**14
 
 
@@ -226,6 +231,24 @@ def eval_threads() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
+
+
+_POOL: tuple = (None, 0, None)  # (pid, workers, ThreadPoolExecutor)
+
+
+def _eval_pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of `workers` evaluation threads. It is made on first
+    use, and made again in a forked child, whose copy of the parent's pool has
+    no threads, or for another count, when the replaced pool is shut down so
+    that its threads exit."""
+    global _POOL
+    pid, count, pool = _POOL
+    if (pid, count) != (os.getpid(), workers):
+        if pid == os.getpid():
+            pool.shutdown()
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="adadgs-eval")
+        _POOL = (os.getpid(), workers, pool)
+    return pool
 
 
 def _to_base(X: np.ndarray, rotation, x_opt, z_star: float) -> np.ndarray:
@@ -247,13 +270,16 @@ class TransformedBenchmark(Objective):
     rotated without a matmul: its W is a copy of R^T.
 
     The batch is built and evaluated in blocks of whole directions. A batch
-    of at most `BLOCK_ELEMENTS` (2**18) coordinates runs serially in blocks
+    of at most `BLOCK_ELEMENTS` (2**16) coordinates runs serially in blocks
     of at most `SERIAL_BLOCK_ELEMENTS` (2**14, 128 KiB), whose memory malloc
-    reuses: two d=100 trials took 1.6k minor page faults, not 65.6k. A larger
-    batch is spread over `eval_threads()` threads (numpy releases the GIL),
-    in blocks of at most `BLOCK_ELEMENTS`, as many as a multiple of the thread
-    count, in a pool made for the call, so a forked process inherits no idle
-    pool. Every base function is row-wise, so the values do not depend on the
+    reuses: a rerun of two d=100 trials took 0.34k minor page faults, not
+    65.7k. A larger batch is spread over `eval_threads()` threads (numpy
+    releases the GIL), in blocks of at most `BLOCK_ELEMENTS`, as many as a
+    multiple of the thread count. The caller evaluates every n-th block of n
+    threads, and the process's pool of n - 1 threads the rest. The pool lives
+    as long as the process, so its threads' malloc arenas are reused from
+    call to call; a forked process, or another thread count, makes a new one.
+    Every base function is row-wise, so the values do not depend on the
     block size or the thread count.
     """
 
@@ -300,15 +326,23 @@ class TransformedBenchmark(Objective):
             Z += z0  # in place: a second block-sized temporary slowed d=200 by ~10%
             out[a * m:b * m] = base_fn(Z.reshape(-1, d))
 
-        if serial or blocks == 1:
+        if serial or blocks == 1 or threads == 1:
             for a, b in spans:
                 block(a, b)
-        else:
-            # each block runs in a copy of the caller's context, so that
-            # np.errstate applies in the pool's threads too
-            context = contextvars.copy_context()
-            with ThreadPoolExecutor(threads) as pool:
-                list(pool.map(lambda s: context.copy().run(block, *s), spans))
+            return out
+        # the caller evaluates every threads-th block and the pool the rest,
+        # each of those in a copy of the caller's context, so that np.errstate
+        # applies in the pool's threads too
+        context, pool = contextvars.copy_context(), _eval_pool(threads - 1)
+        futures = [pool.submit(context.copy().run, block, *span)
+                   for i, span in enumerate(spans) if i % threads]
+        try:
+            for a, b in spans[::threads]:
+                block(a, b)
+        finally:
+            wait(futures)  # no block writes to out once this call has ended
+        for future in futures:
+            future.result()
         return out
 
 

@@ -26,6 +26,7 @@ import ctypes
 import dataclasses
 import functools
 import json
+import multiprocessing
 import os
 import platform
 import re
@@ -200,7 +201,10 @@ def _trial_traces(spec: ExperimentSpec, workers: int):
     """Yield each trial's Trace in trial order, in-process or from a pool."""
     jobs = ([spec] * spec.trials, range(spec.trials))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # fork, whatever the platform's default: a rebound module-level name
+        # reaches the workers, and each worker's evaluation pool is its own
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
             yield from pool.map(_run_trial, *jobs)
     else:
         yield from map(_run_trial, *jobs)
@@ -268,6 +272,21 @@ def n_workers() -> int:
     return workers
 
 
+def hardware() -> dict:
+    """What the base functions' speed depends on: the CPU model, the CPUs in
+    this process's affinity mask and the SIMD extensions numpy found; a fact
+    the platform does not offer (/proc/cpuinfo, an affinity mask) is null."""
+    model = cpus = None
+    with contextlib.suppress(OSError):
+        model = next((line.split(":", 1)[1].strip() for line in
+                      Path("/proc/cpuinfo").read_text().splitlines()
+                      if line.startswith("model name")), None)
+    with contextlib.suppress(AttributeError):
+        cpus = sorted(os.sched_getaffinity(0))
+    return {"cpu": model, "cpus": cpus,
+            "simd": np.show_config(mode="dicts")["SIMD Extensions"]}
+
+
 def _write_json(path: Path, obj) -> None:
     # a spec may hold numpy integers; they are written as plain numbers
     _atomic_write(path, json.dumps(obj, indent=2, default=np.generic.item) + "\n")
@@ -297,6 +316,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "software": {"adadgs": __version__, "python": platform.python_version(),
                      "numpy": np.__version__,
                      "blas": {key: blas.get(key) for key in ("name", "version")}},
+        "hardware": hardware(),
         "trial_seeds": {
             str(k): trial_seeds(spec.seed, k) for k in range(spec.trials)
         },

@@ -1,6 +1,9 @@
 import dataclasses
 import gc
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -385,18 +388,18 @@ def blocked_values(b, lines, monkeypatch, rows, threads):
     return b(lines)
 
 
-def spy_on_base_function(monkeypatch, name):
-    """The shapes of the arrays that reach benchmark `name`'s base function,
-    for benchmarks made after the call."""
+def spy_on_base_function(monkeypatch, name, record=lambda Z: Z.shape):
+    """`record` (by default the shape) of each array that reaches benchmark
+    `name`'s base function, for benchmarks made after the call."""
     info = BENCHMARKS[name]
-    shapes = []
+    records = []
 
     def spy(Z):
-        shapes.append(Z.shape)
+        records.append(record(Z))
         return info.fn(Z)
 
     monkeypatch.setitem(BENCHMARKS, name, dataclasses.replace(info, fn=spy))
-    return shapes
+    return records
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
@@ -455,3 +458,64 @@ def test_threaded_blocks_are_balanced_over_the_threads(threads, rows, monkeypatc
     stencil, _ = stencil_and_line_search_batches(b, np.random.default_rng(11))
     blocked_values(b, stencil, monkeypatch, 5, threads)
     assert sorted(n // 4 for n, _ in shapes) == rows
+
+
+def test_threaded_calls_share_the_pools_threads_and_the_caller(monkeypatch):
+    # the pool lives as long as the process, so the same worker evaluates
+    # blocks of both calls, and the caller evaluates every other block itself
+    # instead of waiting for a pool made for the call
+    threads = spy_on_base_function(monkeypatch, "ackley",
+                                   lambda Z: threading.current_thread())
+    b = TransformedBenchmark("ackley", np.eye(1000), np.zeros(1000))
+    rng = np.random.default_rng(5)
+    lines = Lines(rng.uniform(-1.0, 1.0, 1000), rng.standard_normal((8, 1000)),
+                  np.array([-2.0, -1.0, 1.0, 2.0]))
+    monkeypatch.setattr(benchmarks, "BLOCK_ELEMENTS", 4 * 1000)
+    monkeypatch.setattr(benchmarks, "eval_threads", lambda: 2)
+    b(lines)
+    first = set(threads)
+    threads.clear()
+    b(lines)
+    assert set(threads) == first
+    assert len(first) == 2 and threading.current_thread() in first
+
+
+def test_another_thread_count_replaces_the_pool(monkeypatch):
+    # the replaced pool is shut down: its threads exit, and the thread count
+    # returns to what it was with the first pool
+    b = make_benchmark("ackley", 13, 4)
+    stencil, _ = stencil_and_line_search_batches(b, np.random.default_rng(11))
+    blocked_values(b, stencil, monkeypatch, 1, 2)
+    before = set(threading.enumerate())
+    blocked_values(b, stencil, monkeypatch, 1, 4)
+    made = set(threading.enumerate()) - before
+    assert made
+    blocked_values(b, stencil, monkeypatch, 1, 2)
+    assert not any(thread.is_alive() for thread in made)
+    assert threading.active_count() == len(before)
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # 8 callers, more than the CPUs, evaluate threaded batches at once with a
+    # short switch interval; each gets its own batch's serial values
+    benches = [make_benchmark(name, 13, 4) for name in ("ackley", "rastrigin", "wavy")]
+    batches = [stencil_and_line_search_batches(b, np.random.default_rng(11))[0]
+               for b in benches]
+    expected = [b(stencil) for b, stencil in zip(benches, batches)]
+    monkeypatch.setattr(benchmarks, "BLOCK_ELEMENTS", 4 * 13)
+    monkeypatch.setattr(benchmarks, "eval_threads", lambda: 3)
+
+    def caller(i):
+        b, stencil = benches[i % 3], batches[i % 3]
+        return [b(stencil) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as callers:
+            results = list(callers.map(caller, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, values in enumerate(results):
+        for got in values:
+            np.testing.assert_array_equal(got, expected[i % 3])

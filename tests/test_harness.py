@@ -77,10 +77,8 @@ def test_rerun_byte_identical(tmp_path, optimizer):
     spec2 = small_spec(tmp_path / "b", optimizer=optimizer)
     run_experiment(spec1)
     run_experiment(spec2)
-    for k in range(3):
-        a = (spec1.run_dir / f"trial_{k}.csv").read_bytes()
-        b = (spec2.run_dir / f"trial_{k}.csv").read_bytes()
-        assert a == b
+    for name in [f"trial_{k}.csv" for k in range(3)] + ["manifest.json"]:
+        assert (spec1.run_dir / name).read_bytes() == (spec2.run_dir / name).read_bytes()
 
 
 @pytest.mark.parametrize("optimizer", harness.OPTIMIZERS)
@@ -380,6 +378,31 @@ def test_a_forked_worker_evaluates_blocks_in_threads(tmp_path):
     assert trial_csvs(default) == trial_csvs(serial)
 
 
+def test_trial_workers_are_forked_whatever_the_default_start_method(tmp_path):
+    # under spawn (or forkserver, Linux's default from Python 3.14) a worker
+    # imports adadgs afresh, so a module-level name rebound in the parent
+    # (as perfbench's tracer rebinds them) would not reach it
+    spec = small_spec(tmp_path, trials=2, budget=200)
+    log = tmp_path / "pids"
+    run_in_subprocess(
+        "import multiprocessing, os\n"
+        "from adadgs import harness\n"
+        "from adadgs.harness import ExperimentSpec\n"
+        "from adadgs.optimizer import AdaDgsConfig\n"
+        "multiprocessing.set_start_method('spawn', force=True)\n"
+        "make = harness.make_benchmark\n"
+        "def logged(*args):\n"
+        f"    with open({str(log)!r}, 'a') as fh:\n"
+        "        fh.write(f'{os.getpid()}\\n')\n"
+        "    return make(*args)\n"
+        "harness.make_benchmark = logged\n"
+        f"open({str(log)!r}, 'w').close()\n"
+        f"harness.run_experiment({spec!r})\n"
+        f"assert str(os.getpid()) not in open({str(log)!r}).read().split()",
+        {"ADADGS_WORKERS": "2"}, timeout=60)
+    assert len(log.read_text().split()) == spec.trials
+
+
 def test_manifest_records_the_thread_counts(tmp_path, monkeypatch):
     # workers is the number of processes that ran trials: never more than
     # the trials, and 1 when they ran in-process
@@ -399,6 +422,10 @@ def test_manifest_records_the_thread_counts(tmp_path, monkeypatch):
             "adadgs": adadgs.__version__, "python": platform.python_version(),
             "numpy": np.__version__,
             "blas": {"name": built["name"], "version": built["version"]}}
+        hardware = manifest["hardware"]
+        assert set(hardware) == {"cpu", "cpus", "simd"}
+        assert hardware["cpus"] == sorted(os.sched_getaffinity(0))
+        assert hardware["simd"] == np.show_config(mode="dicts")["SIMD Extensions"]
 
 
 def test_a_trial_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
