@@ -13,6 +13,7 @@ the budget, the best point, the trace and the evaluation count.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +26,31 @@ from .optimizer import Iterate, check_caps, drive
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """A baseline's settings. `validate` checks learning_rate and sigma_or_h
-    with `check_positive` (positive and finite), population with
-    `check_count` (an integer >= 2, and even), and the caps as AdaDGS does."""
+    """A baseline's settings. `resolved(objective, optimizer)` gives each None
+    one a default from the domain width w and the dimension d (the source
+    text specifies none), rejects a population for all but es_bpop, and
+    calls `validate`: learning_rate and sigma_or_h by `check_positive`,
+    population by `check_count` (>= 2, and even), the caps as AdaDGS's."""
 
-    learning_rate: float
-    sigma_or_h: float  # GS radius for es_bpop, difference step for nesterov/fd
-    population: int | None = None  # es_bpop only; run_config's default: 5*d rounded up to even
+    learning_rate: float | None = None
+    sigma_or_h: float | None = None  # GS radius for es_bpop, difference step for nesterov/fd
+    population: int | None = None  # es_bpop only
     budget: int | None = None
     T_max: int | None = None
     seed: int | None = None
+
+    def resolved(self, objective, optimizer: str) -> "BaselineConfig":
+        if optimizer != "es_bpop" and self.population is not None:
+            raise ValueError(f"optimizer {optimizer!r} does not read the option 'population'")
+        w, d = objective.domain_width, objective.dim
+        defaults = {"es_bpop": (0.002 * w, 0.02 * w, 5 * d + d % 2),  # 5*d rounded up to even
+                    "nesterov": (0.001 * w, 1e-5 * w, None),
+                    "fd": (0.001, 1e-5 * w, None)}[optimizer]
+        cfg = dataclasses.replace(self, **{
+            name: value for name, value in zip(("learning_rate", "sigma_or_h", "population"),
+                                               defaults) if getattr(self, name) is None})
+        cfg.validate()
+        return cfg
 
     def validate(self) -> None:
         check_positive("learning_rate", self.learning_rate)
@@ -74,9 +90,7 @@ def es_bpop_minimize(F, x0, cfg: BaselineConfig):
     is never evaluated after initialization, keeping the accounting at
     exactly `population` evaluations per iteration).
     """
-    cfg.validate()
-    if cfg.population is None:
-        raise ValueError("es_bpop needs a population")
+    cfg = cfg.resolved(F, "es_bpop")
     rng = np.random.default_rng(cfg.seed)
     return _descend(F, x0, cfg, cfg.population,
                     lambda x: gs_mc_gradient(F, x, cfg.sigma_or_h, cfg.population, rng=rng))
@@ -88,7 +102,7 @@ def nesterov_minimize(F, x0, cfg: BaselineConfig):
     Per step: draw u ~ N(0, I), estimate F'(x; u) = (F(x+hu) - F(x))/h,
     move x <- x - lr * F' * u. Exactly 2 evaluations per step, in one batch.
     """
-    cfg.validate()
+    cfg = cfg.resolved(F, "nesterov")
     rng = np.random.default_rng(cfg.seed)
     h, lam = cfg.sigma_or_h, cfg.learning_rate
 
@@ -122,6 +136,6 @@ def fd_minimize(F, x0, cfg: BaselineConfig):
     Exactly 2d evaluations per iteration; f_current is the best probe
     value of the iteration (the iterate is only evaluated once, at x0).
     """
-    cfg.validate()
+    cfg = cfg.resolved(F, "fd")
     eye = Frame.identity(np.asarray(x0).shape[0]).matrix
     return _descend(F, x0, cfg, 2 * len(eye), lambda x: fd_gradient(F, x, cfg.sigma_or_h, eye))

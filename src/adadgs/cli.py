@@ -11,8 +11,9 @@ import argparse
 import dataclasses
 import sys
 
-from .harness import (OPTIMIZERS, PRESETS, ExperimentSpec, list_functions, preset,
-                      run_experiment)
+from .baselines import BaselineConfig
+from .harness import (OPTIMIZERS, PRESETS, ExperimentSpec, changed_fields, list_functions,
+                      preset, run_experiment)
 from .optimizer import AdaDgsConfig
 
 # flag -> (field it sets, parser); the flag is --key with "_" -> "-"
@@ -27,7 +28,7 @@ _ADADGS_FIELDS = {  # AdaDgsConfig fields
     "contraction": ("contraction", float),
     "reset_interval": ("reset_interval", int),
 }
-_BASELINE_FIELDS = {  # BaselineConfig fields, kept as ExperimentSpec.baseline_overrides
+_BASELINE_FIELDS = {  # BaselineConfig fields
     "learning_rate": ("learning_rate", float),
     "sigma_or_h": ("sigma_or_h", float),
     "population": ("population", int),
@@ -42,10 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--func", required=True, help="benchmark function name")
     run.add_argument("--dim", type=int, required=True, help="problem dimension")
     run.add_argument("--optimizer", choices=OPTIMIZERS, required=True)
-    run.add_argument("--trials", type=int, default=20)
+    run.add_argument("--trials", type=int, default=ExperimentSpec.trials)
     run.add_argument("--budget", type=int, required=True, help="evaluation budget per trial")
-    run.add_argument("--seed", type=int, default=0, help="master seed")
-    run.add_argument("--out", default="results", help="output directory")
+    run.add_argument("--seed", type=int, default=ExperimentSpec.seed, help="master seed")
+    run.add_argument("--out", default=ExperimentSpec.out_dir, help="output directory")
     run.add_argument("--preset", choices=PRESETS)
     for section, table in (("adadgs", _ADADGS_FIELDS), ("baseline", _BASELINE_FIELDS)):
         group = run.add_argument_group(f"{section} options")
@@ -82,7 +83,7 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
         seed=args.seed,
         out_dir=args.out,
         adadgs=dataclasses.replace(ada_cfg, **given(_ADADGS_FIELDS)),
-        baseline_overrides=given(_BASELINE_FIELDS),
+        baseline=BaselineConfig(**given(_BASELINE_FIELDS)),
     )
 
 
@@ -109,10 +110,8 @@ def cmd_list() -> int:
 
 def cmd_presets() -> int:
     """Each preset's fields that differ from AdaDgsConfig()."""
-    default = AdaDgsConfig()
     for name, cfg in PRESETS.items():
-        changed = [f"{f.name}={getattr(cfg, f.name)}" for f in dataclasses.fields(cfg)
-                   if getattr(cfg, f.name) != getattr(default, f.name)]
+        changed = [f"{field}={getattr(cfg, field)}" for field in changed_fields(cfg)]
         print(f"{name}: {', '.join(changed)}")
     return 0
 

@@ -6,8 +6,9 @@ seed, runs the chosen optimizer and hands back its `Trace`, written as one
 CSV that `parse_trace_csv` reads back. A summary aggregates best-loss
 statistics across the traces on a fixed evaluation-count grid.
 
-`run_config` is the one place a run's optimizer config is built: resolved
-against the function's domain and validated. `manifest.json` records it.
+A spec's optimizer reads its own config (`adadgs` or `baseline`) and the
+other stays at its default. The config resolves itself against the domain:
+for `manifest.json` in `ExperimentSpec.validate`, in each optimizer for a trial.
 
 A trial runs with numpy's BLAS on one thread (`blas_threads`), so its CSV
 does not depend on the machine's BLAS thread count; a large stencil is
@@ -45,12 +46,6 @@ from .optimizer import AdaDgsConfig, adadgs_minimize
 from .trace import Trace
 
 OPTIMIZERS = ("adadgs", "es_bpop", "nesterov", "fd")
-# the BaselineConfig fields each optimizer takes from baseline_overrides;
-# AdaDGS reads only its AdaDgsConfig, and a baseline none of it
-FIELDS_READ = {"adadgs": (),
-               "es_bpop": ("learning_rate", "sigma_or_h", "population"),
-               "nesterov": ("learning_rate", "sigma_or_h"),
-               "fd": ("learning_rate", "sigma_or_h")}
 # named starting configs; the paper's large-scale setting is used at every
 # dimension, with L_max at its default (the domain diagonal)
 PRESETS = {
@@ -73,35 +68,34 @@ class ExperimentSpec:
     seed: int = 0
     out_dir: str = "results"
     adadgs: AdaDgsConfig = field(default_factory=AdaDgsConfig)
-    baseline_overrides: dict = field(default_factory=dict)
+    baseline: BaselineConfig = field(default_factory=BaselineConfig)
 
     def validate(self) -> AdaDgsConfig | BaselineConfig:
-        """Reject the spec before any output is written; return its `run_config`."""
+        """Reject the spec before any output is written; return its resolved config."""
         if self.function not in BENCHMARKS:
             raise ValueError(f"unknown function {self.function!r}")
         for name, low in (("dim", 2), ("trials", 1), ("budget", 1), ("seed", 0)):
             check_count(name, getattr(self, name), low)
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        # each optimizer reads only its own config: a baseline's adadgs must
-        # be AdaDgsConfig(), and only the fields FIELDS_READ names may be overridden
-        unread = [key for key in self.baseline_overrides
-                  if key not in FIELDS_READ[self.optimizer]]
-        if self.optimizer != "adadgs":
-            default = AdaDgsConfig()
-            unread += [f.name for f in dataclasses.fields(default)
-                       if getattr(self.adadgs, f.name) != getattr(default, f.name)]
+        # each optimizer reads only its own config, so the other stays at its default
+        cfg, other = (self.adadgs, self.baseline) if self.optimizer == "adadgs" \
+            else (self.baseline, self.adadgs)
+        unread = changed_fields(other)
         if unread:
             raise ValueError(f"optimizer {self.optimizer!r} does not read "
                              f"the option {unread[0]!r}")
-        # the spec's own budget and seed set an AdaDGS run's, so its config sets neither
-        owned = [name for name in ("budget", "seed") if getattr(self.adadgs, name) is not None]
+        # the spec's own budget and seed set the run's, so its config sets neither
+        owned = [name for name in ("budget", "seed") if getattr(cfg, name) is not None]
         if owned:
-            raise ValueError(f"the spec sets {owned[0]}, so AdaDgsConfig.{owned[0]} must be "
-                             f"None, got {getattr(self.adadgs, owned[0])!r}")
+            raise ValueError(f"the spec sets {owned[0]}, so {type(cfg).__name__}.{owned[0]} "
+                             f"must be None, got {getattr(cfg, owned[0])!r}")
         # the configs read only the domain, so no rotation is drawn
         info = BENCHMARKS[self.function]
-        return run_config(self, Objective(info.fn, self.dim, (info.lower, info.upper)))
+        objective = Objective(info.fn, self.dim, (info.lower, info.upper))
+        cfg = dataclasses.replace(cfg, budget=self.budget)
+        return cfg.resolved(objective) if self.optimizer == "adadgs" \
+            else cfg.resolved(objective, self.optimizer)
 
     @property
     def run_dir(self) -> Path:
@@ -115,26 +109,11 @@ def trial_seeds(master_seed: int, trial: int) -> tuple[int, int, int]:
     return int(a), int(b), int(c)
 
 
-def run_config(spec: ExperimentSpec, objective) -> AdaDgsConfig | BaselineConfig:
-    """The run's optimizer config, resolved against the objective's domain and
-    validated. Baseline defaults are scale-aware (the source text specifies
-    none); an override is used as given, so an invalid one fails validation.
-    The default es_bpop population is 5*d rounded up to even.
-    """
-    if spec.optimizer == "adadgs":
-        return dataclasses.replace(spec.adadgs, budget=spec.budget).resolved(objective)
-    width = objective.domain_width
-    learning_rate, sigma_or_h = {
-        "es_bpop": (0.002 * width, 0.02 * width),
-        "nesterov": (0.001 * width, 1e-5 * width),
-        "fd": (0.001, 1e-5 * width),
-    }[spec.optimizer]
-    population = 5 * spec.dim + spec.dim % 2 if spec.optimizer == "es_bpop" else None
-    settings = dict(learning_rate=learning_rate, sigma_or_h=sigma_or_h,
-                    population=population, budget=spec.budget)
-    cfg = BaselineConfig(**{**settings, **spec.baseline_overrides})
-    cfg.validate()
-    return cfg
+def changed_fields(cfg) -> list[str]:
+    """The fields in which the config `cfg` differs from its class's default."""
+    default = type(cfg)()
+    return [f.name for f in dataclasses.fields(cfg)
+            if getattr(cfg, f.name) != getattr(default, f.name)]
 
 
 @functools.cache
@@ -177,14 +156,16 @@ def blas_threads():
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> Trace:
-    """Run a single seeded trial, under `blas_threads`, and return its trace."""
+    """Run a single seeded trial, under `blas_threads`, and return its trace;
+    the optimizer resolves its config, given the spec's budget and the trial's seed."""
     bench_seed, x0_seed, opt_seed = trial_seeds(spec.seed, trial)
     with blas_threads():
         objective = make_benchmark(spec.function, spec.dim, bench_seed)
         x0 = np.random.default_rng(x0_seed).uniform(
             objective.lower, objective.upper, size=spec.dim
         )
-        cfg = dataclasses.replace(run_config(spec, objective), seed=opt_seed)
+        cfg = dataclasses.replace(spec.adadgs if spec.optimizer == "adadgs" else spec.baseline,
+                                  budget=spec.budget, seed=opt_seed)
         # looked up at call time, so a rebound *_minimize is the one called
         run = {"adadgs": adadgs_minimize, "es_bpop": es_bpop_minimize,
                "nesterov": nesterov_minimize, "fd": fd_minimize}[spec.optimizer]

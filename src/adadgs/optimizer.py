@@ -45,8 +45,8 @@ class AdaDgsConfig:
     of the current one and the distance the line search moved.
 
     `validate` checks the counts (M, S, reset_interval, T_max, budget) with
-    `check_count`, so a float or a bool is an error, and L_max, L_min and
-    sigma0 with `check_positive`, so each is positive and finite. In an
+    `check_count`, a set contraction to be in (0, 1), and sigma0_scale, L_max,
+    L_min and sigma0 with `check_positive` (positive and finite). In an
     `ExperimentSpec` the spec's own budget and seed set the run's, and
     this config must leave both None.
     """
@@ -70,7 +70,7 @@ class AdaDgsConfig:
         S = self.S if self.S is not None else max(12, round(0.05 * self.M * d))
         if self.L_min is not None:
             L_min = self.L_min
-        elif self.contraction is not None:
+        elif self.contraction is not None and 0 < self.contraction < 1:  # else validate names it
             L_min = L_max * self.contraction ** (S - 1)
         else:
             L_min = 0.005 * L_max
@@ -85,6 +85,9 @@ class AdaDgsConfig:
             raise ValueError(f"M must be in 2..{MAX_ORDER} (the 1-point rule's only node "
                              f"is 0, so it samples nothing), got {self.M!r}")
         check_count("M", self.M, 2, MAX_ORDER)
+        if self.contraction is not None and not 0 < self.contraction < 1:
+            raise ValueError(f"contraction must be in (0, 1), got {self.contraction}")
+        check_positive("sigma0_scale", self.sigma0_scale)
         check_positive("L_max", self.L_max)
         check_positive("L_min", self.L_min)
         if not self.L_min < self.L_max:

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from adadgs.baselines import (
 )
 from adadgs.benchmarks import Objective, make_benchmark
 from adadgs.errors import EvaluationError
+from adadgs.harness import ExperimentSpec, run_experiment
 
 
 def sphere(d, width=10.0):
@@ -44,11 +48,30 @@ def test_es_constant_never_moves():
     assert f_best == 3.0
 
 
-def test_es_without_a_population_is_an_error_before_any_evaluation():
-    F = sphere(3)
-    with pytest.raises(ValueError, match="es_bpop needs a population"):
-        es_bpop_minimize(F, np.ones(3), BaselineConfig(0.1, 0.1, T_max=3))
-    assert F.evals == 0
+@pytest.mark.parametrize("run", [es_bpop_minimize, nesterov_minimize, fd_minimize])
+def test_a_baseline_resolves_the_config_the_manifest_records(tmp_path, monkeypatch, run):
+    # the defaults live in BaselineConfig.resolved alone: called directly, a
+    # minimizer runs with the config the harness records for the same domain
+    optimizer = run.__name__.removesuffix("_minimize")
+    spec = ExperimentSpec("ellipsoidal", 5, optimizer, budget=300, trials=1,
+                          out_dir=str(tmp_path))
+    run_experiment(spec)
+    recorded = json.loads((spec.run_dir / "manifest.json").read_text())["config"]
+    seen = []
+    resolved = BaselineConfig.resolved
+    monkeypatch.setattr(BaselineConfig, "resolved",
+                        lambda cfg, *args: seen.append(resolved(cfg, *args)) or seen[-1])
+    F = make_benchmark("ellipsoidal", 5, 1)
+    run(F, np.ones(5), BaselineConfig(T_max=2, seed=1))
+    assert [dataclasses.replace(cfg, T_max=None, seed=None, budget=300) for cfg in seen] == \
+        [BaselineConfig(**recorded)]
+    assert (seen[0].population is None) == (optimizer != "es_bpop")
+    if optimizer != "es_bpop":  # only es_bpop reads a population: an error before f(x0)
+        evals = F.evals
+        named = f"{optimizer!r} does not read the option 'population'"
+        with pytest.raises(ValueError, match=named):
+            run(F, np.ones(5), BaselineConfig(population=10, T_max=2))
+        assert F.evals == evals
 
 
 def test_es_budget_below_population():

@@ -28,7 +28,6 @@ from adadgs.harness import (
     list_functions,
     parse_trace_csv,
     preset,
-    run_config,
     run_experiment,
     run_trial,
     summarize,
@@ -351,6 +350,7 @@ def test_trial_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch
     one_thread = small_spec(tmp_path / "one-thread", dim=100, budget=6000, trials=2)
     run_in_subprocess(
         "from adadgs.harness import ExperimentSpec, run_experiment\n"
+        "from adadgs.baselines import BaselineConfig\n"
         "from adadgs.optimizer import AdaDgsConfig\n"
         f"run_experiment({one_thread!r})", {"OPENBLAS_NUM_THREADS": "1", "ADADGS_WORKERS": "1"})
     assert trial_csvs(pooled) == trial_csvs(spec)
@@ -367,6 +367,7 @@ def test_a_forked_worker_evaluates_blocks_in_threads(tmp_path):
         "import os\n"
         "from adadgs import benchmarks\n"
         "from adadgs.harness import ExperimentSpec, run_experiment\n"
+        "from adadgs.baselines import BaselineConfig\n"
         "from adadgs.optimizer import AdaDgsConfig\n"
         "benchmarks.BLOCK_ELEMENTS = 4 * 10\n"
         f"run_experiment({serial!r})\n"
@@ -388,6 +389,7 @@ def test_trial_workers_are_forked_whatever_the_default_start_method(tmp_path):
         "import multiprocessing, os\n"
         "from adadgs import harness\n"
         "from adadgs.harness import ExperimentSpec\n"
+        "from adadgs.baselines import BaselineConfig\n"
         "from adadgs.optimizer import AdaDgsConfig\n"
         "multiprocessing.set_start_method('spawn', force=True)\n"
         "make = harness.make_benchmark\n"
@@ -450,11 +452,20 @@ def test_a_trial_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
 
 
 @pytest.mark.parametrize("kw,named", [
-    (dict(optimizer="es_bpop", baseline_overrides={"M": 3}), "'M'"),
+    (dict(optimizer="es_bpop", adadgs=AdaDgsConfig(M=3)), "'M'"),
     (dict(optimizer="fd", adadgs=AdaDgsConfig(gamma=0.5)), "'gamma'"),
     (dict(optimizer="nesterov", adadgs=preset("paper-1000d")), "'S'"),
     (dict(optimizer="es_bpop", adadgs=AdaDgsConfig(sigma0=2.0)), "'sigma0'"),
-], ids=["es_bpop-M-override", "fd-gamma", "nesterov-preset", "es_bpop-sigma0"])
+    (dict(optimizer="adadgs", baseline=BaselineConfig(learning_rate=0.1)),
+     "'adadgs' does not read the option 'learning_rate'"),
+    (dict(optimizer="fd", baseline=BaselineConfig(population=10)),
+     "'fd' does not read the option 'population'"),
+    (dict(optimizer="nesterov", baseline=BaselineConfig(budget=60)),
+     "BaselineConfig.budget must be None"),
+    (dict(optimizer="es_bpop", baseline=BaselineConfig(seed=3)),
+     "BaselineConfig.seed must be None"),
+], ids=["es_bpop-M-override", "fd-gamma", "nesterov-preset", "es_bpop-sigma0",
+        "adadgs-learning-rate", "fd-population", "nesterov-budget", "es_bpop-seed"])
 def test_spec_with_an_option_the_optimizer_never_reads_is_rejected(kw, named):
     spec = ExperimentSpec("ackley", 3, budget=60, **kw)
     with pytest.raises(ValueError, match=named):
@@ -491,8 +502,7 @@ def test_budget_accounting_all_optimizers():
 
 def test_default_es_population_rounds_up_to_even():
     spec = ExperimentSpec(function="ellipsoidal", dim=5, optimizer="es_bpop", budget=300)
-    cfg = run_config(spec, make_benchmark("ellipsoidal", 5, 0))
-    assert cfg.population == 26  # 5*d = 25
+    assert spec.validate().population == 26  # 5*d = 25
 
 
 def test_manifest_records_the_resolved_config(tmp_path):
@@ -642,8 +652,13 @@ def test_cli_run_and_errors(tmp_path, capsys):
      "learning_rate must be positive and finite"),
     (["--dim", "3", "--optimizer", "es_bpop", "--sigma-or-h", "inf"],
      "sigma_or_h must be positive and finite"),
+    (["--dim", "3", "--contraction", "1.5"], "contraction must be in (0, 1), got 1.5"),
+    (["--dim", "3", "--contraction", "2", "--line-points", "2000"],
+     "contraction must be in (0, 1), got 2.0"),
+    (["--dim", "3", "--sigma0-scale", "-1"], "sigma0_scale must be positive and finite"),
 ], ids=["dim-1", "gh-points-1", "reset-interval", "gamma-nan", "budget-0", "seed-negative",
-        "fd-learning-rate-inf", "es_bpop-sigma-or-h-inf"])
+        "fd-learning-rate-inf", "es_bpop-sigma-or-h-inf", "contraction-1.5",
+        "contraction-overflows", "sigma0-scale-negative"])
 def test_cli_invalid_run_is_an_error_before_any_output(tmp_path, capsys, args, named):
     assert main(["run", "--func", "ackley", "--optimizer", "adadgs", "--trials", "2",
                  "--budget", "300", "--out", str(tmp_path), *args]) == 1
