@@ -205,21 +205,17 @@ def optimum_value(name: str, d: int) -> float:
     return info.optimum_offset + info.optimum_per_dim * d
 
 
-# Elements of Z per block of a Lines batch. A batch of more than BLOCK_ELEMENTS
-# is spread over the CPUs in blocks of at most that many (512 KiB of float64):
-# one d=1000 stencil call (4000 x 1000 points, rotated Ackley, median of 40)
-# took 154-178 ms unblocked, 126-146 ms in blocks of 2**16 on one thread and
-# 80 ms on 2 CPUs, when the host ran both vCPUs at once (127-141 ms when it did
-# not). Blocks of 2**18 took as long, but each thread's malloc arena keeps its
-# blocks' temporaries: a d=1000 trial peaked at 101.6 MB RSS in blocks of 2**18
-# on a pool made for each call, 95.5 MB in such blocks on the kept pool, and
-# 94.2 and 92.0 MB in blocks of 2**16 on the two pools. A smaller batch is
-# evaluated serially in blocks of at most SERIAL_BLOCK_ELEMENTS: 2**14 float64
-# is 128 KiB, glibc's default mmap threshold, so malloc reuses each block's
-# temporaries from the heap instead of mapping fresh pages on every call. A
-# rerun of two d=100 Rastrigin trials of 5e4 evaluations took 65.7k minor page
-# faults in one block, 58k in blocks of 2**15 and 0.34k in blocks of 2**14
-# (numpy 2.4.6, OpenBLAS 0.3.31, the BLAS on one thread).
+# Elements of Z per block of a Lines batch (numpy 2.4.6, OpenBLAS 0.3.31, 2
+# vCPUs). A batch of more than BLOCK_ELEMENTS is split into one share per
+# thread, each walked in blocks of at most that many (512 KiB of float64):
+# blocks of 2**18 evaluate a d=1000 stencil as fast, but each thread's malloc
+# arena keeps their temporaries, and a d=1000 trial peaked at 79.9-81.9 MB RSS
+# against 76.8-77.1 MB in blocks of 2**16. A smaller batch is evaluated
+# serially in blocks of at most SERIAL_BLOCK_ELEMENTS: 2**14 float64 is 128
+# KiB, glibc's default mmap threshold, so malloc reuses each block's
+# temporaries instead of mapping fresh pages on every call; a third run of
+# two d=100 Rastrigin trials of 5e4 evaluations in one process took 65.5k
+# minor page faults in one block, 40.2k in blocks of 2**15 and 1.6k in 2**14.
 BLOCK_ELEMENTS = 2**16
 SERIAL_BLOCK_ELEMENTS = 2**14
 
@@ -272,11 +268,11 @@ class TransformedBenchmark(Objective):
     The batch is built and evaluated in blocks of whole directions. A batch
     of at most `BLOCK_ELEMENTS` (2**16) coordinates runs serially in blocks
     of at most `SERIAL_BLOCK_ELEMENTS` (2**14, 128 KiB), whose memory malloc
-    reuses: a rerun of two d=100 trials took 0.34k minor page faults, not
-    65.7k. A larger batch is spread over `eval_threads()` threads (numpy
-    releases the GIL), in blocks of at most `BLOCK_ELEMENTS`, as many as a
-    multiple of the thread count. The caller evaluates every n-th block of n
-    threads, and the process's pool of n - 1 threads the rest. The pool lives
+    reuses. A larger batch is split into n = min(k, `eval_threads()`)
+    contiguous shares of whole directions, differing by at most one
+    direction, each walked in blocks of at most `BLOCK_ELEMENTS` (numpy
+    releases the GIL). The caller evaluates the first share and the
+    process's pool of `eval_threads()` - 1 threads the others. The pool lives
     as long as the process, so its threads' malloc arenas are reused from
     call to call; a forked process, or another thread count, makes a new one.
     Every base function is row-wise, so the values do not depend on the
@@ -311,36 +307,34 @@ class TransformedBenchmark(Objective):
                 self._rotated = (directions, W)
         z0 = _to_base(origin, self.rotation, self.x_opt, self._info.z_star)
         base_fn, d, m, k = self._info.fn, self.dim, len(offsets), len(W)
-        serial = k * m * d <= BLOCK_ELEMENTS
-        size = SERIAL_BLOCK_ELEMENTS if serial else BLOCK_ELEMENTS
-        blocks = max(1, -(-k // max(1, size // max(1, m * d))))
-        if not serial:  # a multiple of the thread count, so that no thread idles
-            threads = eval_threads()
-            blocks = min(k, -(-blocks // threads) * threads)
-        # whole directions per block, the sizes differing by at most one
-        spans = [(k * i // blocks, k * (i + 1) // blocks) for i in range(blocks)]
         out = np.empty(k * m)
 
-        def block(a, b):
-            Z = offsets[None, :, None] * W[a:b, None, :]
-            Z += z0  # in place: a second block-sized temporary slowed d=200 by ~10%
-            out[a * m:b * m] = base_fn(Z.reshape(-1, d))
+        def share(a, b, size=BLOCK_ELEMENTS):
+            # directions a..b in blocks of at most size coordinates; blocks and
+            # shares are whole directions, their sizes differing by at most one
+            blocks = max(1, -(-(b - a) // max(1, size // max(1, m * d))))
+            for i in range(blocks):
+                lo, hi = a + (b - a) * i // blocks, a + (b - a) * (i + 1) // blocks
+                Z = offsets[None, :, None] * W[lo:hi, None, :]
+                Z += z0  # in place: a second block-sized temporary slowed d=200 by ~10%
+                out[lo * m:hi * m] = base_fn(Z.reshape(-1, d))
+                del Z  # before the next block's is made, or malloc trims and refaults the heap
 
-        if serial or blocks == 1 or threads == 1:
-            for a, b in spans:
-                block(a, b)
+        if k * m * d <= BLOCK_ELEMENTS:
+            share(0, k, SERIAL_BLOCK_ELEMENTS)
             return out
-        # the caller evaluates every threads-th block and the pool the rest,
-        # each of those in a copy of the caller's context, so that np.errstate
-        # applies in the pool's threads too
-        context, pool = contextvars.copy_context(), _eval_pool(threads - 1)
-        futures = [pool.submit(context.copy().run, block, *span)
-                   for i, span in enumerate(spans) if i % threads]
+        # one share per thread: the caller evaluates the first and the pool the
+        # rest, each of those in a copy of the caller's context, so that
+        # np.errstate applies in the pool's threads too
+        cpus = eval_threads()
+        n = min(k, cpus)
+        futures = [_eval_pool(cpus - 1).submit(contextvars.copy_context().run, share,
+                                               k * i // n, k * (i + 1) // n)
+                   for i in range(1, n)]
         try:
-            for a, b in spans[::threads]:
-                block(a, b)
+            share(0, k // n)
         finally:
-            wait(futures)  # no block writes to out once this call has ended
+            wait(futures)  # no share writes to out once this call has ended
         for future in futures:
             future.result()
         return out

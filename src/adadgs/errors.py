@@ -4,8 +4,9 @@ checked by.
 `check_count` is the one rule for a count (a dimension, a trial count, a
 budget, a seed, a quadrature order, a population): an int or numpy
 integer, never a bool, within its bounds. `check_positive` is the one rule
-for a radius, a step or a rate: positive and finite, so NaN and inf are
-rejected. Each raises a ValueError that names the setting.
+for a radius, a step or a rate: a real number, never a bool, positive and
+finite, so NaN and inf are rejected. Each raises a ValueError that names
+the setting.
 """
 
 import numpy as np
@@ -33,6 +34,9 @@ def check_count(name: str, value, low: int, high: int | None = None) -> None:
 
 
 def check_positive(name: str, value) -> None:
-    """Raise a ValueError naming `name` unless `value` is positive and finite."""
+    """Raise a ValueError naming `name` unless `value` is a real number (a
+    bool is not one) that is positive and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")

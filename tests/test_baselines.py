@@ -236,10 +236,18 @@ def test_all_nan_objective_raises(run, cfg, finite_at_start):
     dict(learning_rate=0.1, sigma_or_h=0.1, T_max=1, population=7),
     dict(learning_rate=0.1, sigma_or_h=0.1, T_max=1, population=8.0),
     dict(learning_rate=0.1, sigma_or_h=0.1, budget=50.5),
+    dict(learning_rate="0.1", sigma_or_h=0.1, T_max=1),
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         BaselineConfig(**kw).validate()
+
+
+def test_an_unresolved_config_names_the_missing_setting():
+    # validate on a config whose rate is still None names the rate, not a
+    # TypeError from comparing None with a number
+    with pytest.raises(ValueError, match="learning_rate"):
+        BaselineConfig(T_max=3).validate()
 
 
 def test_seed_determinism():

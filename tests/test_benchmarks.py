@@ -448,21 +448,73 @@ def test_a_small_batch_reaches_the_base_function_in_128_kib_blocks(monkeypatch):
     np.testing.assert_array_equal(blocked, whole)
 
 
-@pytest.mark.parametrize("threads,rows", [(2, [3, 3, 3, 4]), (3, [4, 4, 5])])
+def spy_on_submissions(monkeypatch, threads):
+    """The (start, stop) directions of each share submitted to the process's
+    pool of `threads` - 1 threads, which is made if there is none."""
+    pool = benchmarks._eval_pool(threads - 1)
+    shares = []
+
+    def submit(run, share, a, b):
+        shares.append((a, b))
+        return ThreadPoolExecutor.submit(pool, run, share, a, b)
+
+    monkeypatch.setattr(pool, "submit", submit)
+    return shares
+
+
+@pytest.mark.parametrize("threads,rows", [(2, [6, 7]), (3, [4, 4, 5])])
 def test_threaded_blocks_are_balanced_over_the_threads(threads, rows, monkeypatch):
-    # 13 directions in blocks of at most 5: a block count that is a multiple
-    # of the thread count, the sizes differing by at most one direction, not
-    # 5, 5 and 3, which leave a thread idle
-    shapes = spy_on_base_function(monkeypatch, "ackley")
+    # 13 directions in blocks of at most 5: one contiguous share of
+    # directions per thread, the caller's first and one future for each
+    # other, the sizes differing by at most one direction, and each share
+    # walked in blocks that tile it
+    d, m = 13, 4
+    caller = threading.current_thread()
+    blocks = spy_on_base_function(
+        monkeypatch, "ackley", lambda Z: (threading.current_thread() is caller, Z.copy()))
+    # with R = I and x_opt = 0 the base function sees the batch's points
+    b = TransformedBenchmark("ackley", np.eye(d), np.zeros(d))
+    stencil, _ = stencil_and_line_search_batches(b, np.random.default_rng(11))
+    submitted = spy_on_submissions(monkeypatch, threads)
+    blocked_values(b, stencil, monkeypatch, 5, threads)
+    points, spans = stencil.points, []
+    for by_caller, Z in blocks:
+        assert Z.size <= 5 * m * d
+        start = int(np.flatnonzero((points == Z[0]).all(axis=1))[0])
+        np.testing.assert_array_equal(Z, points[start:start + len(Z)])
+        spans.append((start // m, (start + len(Z)) // m, by_caller))
+    spans.sort()
+    edges = [0] + [stop for _, stop, _ in spans]
+    assert [start for start, _, _ in spans] == edges[:-1] and edges[-1] == d
+    first = max(stop for _, stop, by_caller in spans if by_caller)
+    assert all(by_caller == (stop <= first) for _, stop, by_caller in spans)
+    shares = [(0, first)] + sorted(submitted)
+    assert [start for start, _ in shares[1:]] == [stop for _, stop in shares[:-1]]
+    assert shares[-1][1] == d and {stop for _, stop in shares} <= set(edges)
+    assert sorted(stop - start for start, stop in shares) == rows
+
+
+def test_a_batch_of_few_directions_keeps_the_pool(monkeypatch):
+    # a threaded call submits one future per share but the caller's; a batch
+    # of fewer directions than threads makes fewer shares on the same pool
+    # of eval_threads() - 1 threads, neither replaced nor resized
     b = make_benchmark("ackley", 13, 4)
     stencil, _ = stencil_and_line_search_batches(b, np.random.default_rng(11))
-    blocked_values(b, stencil, monkeypatch, 5, threads)
-    assert sorted(n // 4 for n, _ in shapes) == rows
+    few = Lines(stencil.origin, stencil.directions[:2], stencil.offsets)
+    expected = b(few)
+    submitted = spy_on_submissions(monkeypatch, 4)
+    pool = benchmarks._POOL[2]
+    blocked_values(b, stencil, monkeypatch, 1, 4)
+    assert len(submitted) == 3
+    submitted.clear()
+    np.testing.assert_array_equal(blocked_values(b, few, monkeypatch, 1, 4), expected)
+    assert submitted == [(1, 2)]
+    assert benchmarks._POOL[2] is pool and pool._max_workers == 3
 
 
 def test_threaded_calls_share_the_pools_threads_and_the_caller(monkeypatch):
     # the pool lives as long as the process, so the same worker evaluates
-    # blocks of both calls, and the caller evaluates every other block itself
+    # blocks of both calls, and the caller evaluates its share itself
     # instead of waiting for a pool made for the call
     threads = spy_on_base_function(monkeypatch, "ackley",
                                    lambda Z: threading.current_thread())

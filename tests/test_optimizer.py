@@ -438,6 +438,7 @@ def test_config_contraction_sets_lmin():
     dict(sigma0=np.inf), dict(L_max=np.inf, L_min=1.0),
     dict(M=2.5), dict(S=12.5), dict(gamma=np.nan),
     dict(reset_interval=2.5), dict(T_max=True), dict(budget=1e4),
+    dict(sigma0="1.0"), dict(L_max=True),
 ])
 def test_config_validation(bad):
     F = sphere(3)
