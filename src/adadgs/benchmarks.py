@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import EvaluationError, check_count
 
@@ -359,10 +360,27 @@ def make_benchmark(name: str, d: int, seed) -> TransformedBenchmark:
 
 
 def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform random orthogonal matrix (QR with sign correction)."""
+    """Haar-uniform random orthogonal matrix: Q of A = QR, A standard normal,
+    with Q's columns multiplied by the signs of R's diagonal.
+
+    This calls the two gufuncs `np.linalg.qr` calls, under its error state:
+    `qr_r_raw` factors A in place, leaving R on and above the diagonal, and
+    `qr_reduced` forms Q. Going round `np.linalg.qr` saves its copy of A, its
+    R triangle and a second Q for the sign product, three d*d arrays that at
+    d=1000 set the peak memory of a trial. A test pins the result, bit for
+    bit, to `np.linalg.qr`'s.
+    """
     A = rng.standard_normal((d, d))
-    Q, R = np.linalg.qr(A)
-    return Q * np.sign(np.diag(R))
+    with np.errstate(call=_raise_qr_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(A, signature="d->d")
+        Q = _umath_linalg.qr_reduced(A, tau, signature="dd->d")
+    Q *= np.sign(np.diag(A))
+    return Q
+
+
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
 # ---------------------------------------------------------------------------

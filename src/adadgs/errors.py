@@ -1,10 +1,11 @@
-"""Shared exception types, and the two rules every setting of a run is
+"""Shared exception types, and the rules every setting of a run is
 checked by.
 
 `check_count` is the one rule for a count (a dimension, a trial count, a
 budget, a seed, a quadrature order, a population): an int or numpy
-integer, never a bool, within its bounds. `check_positive` is the one rule
-for a radius, a step or a rate: a real number, never a bool, positive and
+integer, never a bool, within its bounds. `check_real` is the rule for a
+real number: an int, float or numpy number, never a bool. `check_positive`
+is the one rule for a radius, a step or a rate: a real number, positive and
 finite, so NaN and inf are rejected. Each raises a ValueError that names
 the setting.
 """
@@ -33,10 +34,16 @@ def check_count(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be {bounds}, got {value}")
 
 
+def check_real(name: str, value) -> None:
+    """Raise a ValueError naming `name` unless `value` is a real number (an
+    int, float, numpy integer or numpy floating; a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def check_positive(name: str, value) -> None:
     """Raise a ValueError naming `name` unless `value` is a real number (a
     bool is not one) that is positive and finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+    check_real(name, value)
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")

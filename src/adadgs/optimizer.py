@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .benchmarks import Lines, Objective, haar_rotation
-from .errors import check_count, check_positive
+from .errors import check_count, check_positive, check_real
 from .gradient import MAX_ORDER, Frame, dgs_gradient, finite_samples, gauss_hermite_rule
 from .trace import Trace
 
@@ -45,8 +45,11 @@ class AdaDgsConfig:
     of the current one and the distance the line search moved.
 
     `validate` checks the counts (M, S, reset_interval, T_max, budget) with
-    `check_count`, a set contraction to be in (0, 1), and sigma0_scale, L_max,
-    L_min and sigma0 with `check_positive` (positive and finite). In an
+    `check_count`, a set contraction to be a real number in (0, 1), gamma to
+    be a real number >= 0, and sigma0_scale, L_max, L_min and sigma0 with
+    `check_positive` (positive and finite). `resolved` checks the settings it
+    computes with (M, contraction, sigma0_scale, and L_max and S where set)
+    before it uses them, so each error names its setting. In an
     `ExperimentSpec` the spec's own budget and seed set the run's, and
     this config must leave both None.
     """
@@ -65,12 +68,13 @@ class AdaDgsConfig:
     seed: int | None = None
 
     def resolved(self, objective: Objective) -> "AdaDgsConfig":
+        self._check_given()
         d = objective.dim
         L_max = self.L_max if self.L_max is not None else objective.domain_diagonal
         S = self.S if self.S is not None else max(12, round(0.05 * self.M * d))
         if self.L_min is not None:
             L_min = self.L_min
-        elif self.contraction is not None and 0 < self.contraction < 1:  # else validate names it
+        elif self.contraction is not None:
             L_min = L_max * self.contraction ** (S - 1)
         else:
             L_min = 0.005 * L_max
@@ -80,20 +84,31 @@ class AdaDgsConfig:
         cfg.validate()
         return cfg
 
-    def validate(self) -> None:
+    def _check_given(self) -> None:
+        """Check the settings `resolved` computes with, where they are set."""
         if self.M == 1:
             raise ValueError(f"M must be in 2..{MAX_ORDER} (the 1-point rule's only node "
                              f"is 0, so it samples nothing), got {self.M!r}")
         check_count("M", self.M, 2, MAX_ORDER)
-        if self.contraction is not None and not 0 < self.contraction < 1:
-            raise ValueError(f"contraction must be in (0, 1), got {self.contraction}")
+        if self.contraction is not None:
+            check_real("contraction", self.contraction)
+            if not 0 < self.contraction < 1:
+                raise ValueError(f"contraction must be in (0, 1), got {self.contraction}")
         check_positive("sigma0_scale", self.sigma0_scale)
+        if self.L_max is not None:
+            check_positive("L_max", self.L_max)
+        if self.S is not None:
+            check_count("S", self.S, 2)
+
+    def validate(self) -> None:
+        self._check_given()
         check_positive("L_max", self.L_max)
         check_positive("L_min", self.L_min)
         if not self.L_min < self.L_max:
             raise ValueError(f"need L_min < L_max, got {self.L_min}, {self.L_max}")
         check_count("S", self.S, 2)
         check_positive("sigma0", self.sigma0)
+        check_real("gamma", self.gamma)
         if not self.gamma >= 0:  # NaN included: it would turn the stall test off
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         check_count("reset_interval", self.reset_interval, 0)

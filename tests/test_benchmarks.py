@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,6 +20,7 @@ from adadgs.benchmarks import (
     optimum_value,
 )
 from adadgs.gradient import Frame
+from adadgs.harness import blas_threads
 
 DOMAINS = {
     "ackley": (-32.768, 32.768),
@@ -166,6 +168,34 @@ def test_x_opt_inside_central_domain():
 def test_rotation_orthonormal():
     b = make_benchmark("ackley", 30, 4)
     assert np.max(np.abs(b.rotation @ b.rotation.T - np.eye(30))) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 129, 257])
+def test_haar_rotation_is_the_bits_of_numpys_qr(d, seed):
+    # haar_rotation calls numpy's private QR gufuncs; this pins them to the
+    # public np.linalg.qr, so a numpy that changes them fails here
+    with blas_threads():
+        Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+        expected = Q * np.sign(np.diag(R))
+        got = haar_rotation(d, np.random.default_rng(seed))
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_haar_rotation_keeps_no_copy_of_the_drawn_matrix():
+    # in place: the drawn A (factored into R and the reflectors) and Q, plus
+    # small work arrays; np.linalg.qr's copy of A, its R and the sign
+    # product would take the peak above four d*d arrays
+    d = 400
+    haar_rotation(d, np.random.default_rng(0))  # warm-up
+    tracemalloc.start()
+    try:
+        haar_rotation(d, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * d * d * 8
 
 
 @pytest.mark.parametrize("name", ["ackley", "rastrigin", "salomon", "wavy"])

@@ -439,10 +439,14 @@ def test_config_contraction_sets_lmin():
     dict(M=2.5), dict(S=12.5), dict(gamma=np.nan),
     dict(reset_interval=2.5), dict(T_max=True), dict(budget=1e4),
     dict(sigma0="1.0"), dict(L_max=True),
+    dict(gamma=None), dict(sigma0_scale="1"), dict(contraction="0.5"),
+    dict(M="5"), dict(L_max="30"), dict(S="12", contraction=0.5),
 ])
 def test_config_validation(bad):
+    # the error names the first setting given, never a bare TypeError from
+    # resolved computing with a setting it has not checked
     F = sphere(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(bad))):
         AdaDgsConfig(**{"T_max": 1, **bad}).resolved(F)
 
 
