@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
+import functools
 import os
 import select
 import shlex
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import EvaluationError, check_count
 
@@ -276,8 +277,12 @@ class TransformedBenchmark(Objective):
     process's pool of `eval_threads()` - 1 threads the others. The pool lives
     as long as the process, so its threads' malloc arenas are reused from
     call to call; a forked process, or another thread count, makes a new one.
-    Every base function is row-wise, so the values do not depend on the
-    block size or the thread count.
+    A block is at least one direction, so a direction of more coordinates
+    than the block size is a block of its own: a `paper-1000d` line search
+    (one direction, 200 offsets) from d=328 on is one share and one block
+    of 200*d coordinates, on the calling thread. Every base function is
+    row-wise, so the values do not depend on the block size or the thread
+    count.
     """
 
     def __init__(self, name: str, rotation: np.ndarray, x_opt: np.ndarray):
@@ -363,24 +368,64 @@ def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform random orthogonal matrix: Q of A = QR, A standard normal,
     with Q's columns multiplied by the signs of R's diagonal.
 
-    This calls the two gufuncs `np.linalg.qr` calls, under its error state:
-    `qr_r_raw` factors A in place, leaving R on and above the diagonal, and
-    `qr_reduced` forms Q. Going round `np.linalg.qr` saves its copy of A, its
-    R triangle and a second Q for the sign product, three d*d arrays that at
-    d=1000 set the peak memory of a trial. A test pins the result, bit for
-    bit, to `np.linalg.qr`'s.
+    A is factored in place in one column-major copy of it, by the LAPACK
+    routines `np.linalg.qr` runs, taken from numpy's bundled OpenBLAS with
+    the work size numpy passes: `dgeqrf` leaves R on and above the diagonal,
+    and `dorgqr` forms Q over it. `np.linalg.qr` and its gufuncs copy A, and
+    A and Q again, into buffers of their own, and make an R and a second Q
+    for the sign product; at d=1000 those set the peak memory of a trial.
+    This draw holds two d*d arrays at most. Where numpy's library lacks
+    either routine, `np.linalg.qr` draws it. A test pins the result, bit
+    for bit, to `np.linalg.qr`'s on both paths.
     """
     A = rng.standard_normal((d, d))
-    with np.errstate(call=_raise_qr_error, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        tau = _umath_linalg.qr_r_raw(A, signature="d->d")
-        Q = _umath_linalg.qr_reduced(A, tau, signature="dd->d")
-    Q *= np.sign(np.diag(A))
+    routines = [openblas_function(name) for name in ("scipy_dgeqrf_64_", "scipy_dorgqr_64_")]
+    if None in routines:
+        Q, R = np.linalg.qr(A)
+        Q *= np.sign(np.diag(R))
+        return Q
+    F = np.asfortranarray(A)  # the routines' column-major A, factored in place
+    del A
+    tau = np.empty(d)
+    (geqrf, integer), (orgqr, _) = routines
+    _lapack(geqrf, integer, 2, F, tau)
+    signs = np.sign(F.diagonal())
+    _lapack(orgqr, integer, 3, F, tau)
+    Q = np.ascontiguousarray(F)
+    Q *= signs
     return Q
 
 
-def _raise_qr_error(err, flag):
-    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+def _lapack(routine, integer, sizes: int, F: np.ndarray, tau: np.ndarray) -> None:
+    """Call the LAPACK routine (M, N[, K], A, LDA, TAU, WORK, LWORK, INFO) on
+    the square column-major F, every size len(F), after a workspace query:
+    LWORK is max(1, N, the size it asks for), as numpy's gufuncs pass."""
+    n, info = ctypes.byref(integer(len(F))), integer()
+
+    def call(work, lwork):
+        routine(*[n] * sizes, F.ctypes, n, tau.ctypes, work.ctypes,
+                ctypes.byref(integer(lwork)), ctypes.byref(info))
+        if info.value:
+            raise np.linalg.LinAlgError(
+                "Incorrect argument found while performing QR factorization")
+
+    query = np.empty(1)
+    call(query, -1)
+    lwork = max(1, len(F), int(query[0]))
+    call(np.empty(lwork), lwork)
+
+
+@functools.cache
+def openblas_function(name: str):
+    """The function `name` of numpy's bundled OpenBLAS, paired with the ctypes
+    type of the library's integers (int64 where the name ends in `64_`, as an
+    ILP64 build's do), or None where numpy's library exports no such name.
+    Each name is looked up on first use, not when adadgs is imported."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return getattr(lib, name), ctypes.c_int64 if name.endswith("64_") else ctypes.c_int
+    except (AttributeError, OSError):
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
-import functools
 import json
 import multiprocessing
 import os
@@ -40,7 +39,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import BaselineConfig, es_bpop_minimize, fd_minimize, nesterov_minimize
-from .benchmarks import BENCHMARKS, Objective, eval_threads, make_benchmark, optimum_value
+from .benchmarks import (BENCHMARKS, Objective, eval_threads, make_benchmark, openblas_function,
+                         optimum_value)
 from .errors import check_count
 from .optimizer import AdaDgsConfig, adadgs_minimize
 from .trace import Trace
@@ -116,24 +116,19 @@ def changed_fields(cfg) -> list[str]:
             if getattr(cfg, f.name) != getattr(default, f.name)]
 
 
-@functools.cache
 def _blas_thread_functions():
     """numpy's bundled OpenBLAS (get, set) thread-count functions, or None
     where there are none to be found."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
-        return None
     for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
                            ("openblas_", "")):
-        try:
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
-            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        found = [openblas_function(f"{prefix}{verb}_num_threads{suffix}")
+                 for verb in ("get", "set")]
+        if None not in found:
+            # each takes or returns a C int, whatever the library's integers
+            (get, _), (set_, _) = found
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 

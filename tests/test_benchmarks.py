@@ -1,10 +1,13 @@
 import dataclasses
 import gc
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,23 +173,32 @@ def test_rotation_orthonormal():
     assert np.max(np.abs(b.rotation @ b.rotation.T - np.eye(30))) < 1e-10
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("d", [1, 2, 3, 7, 129, 257])
-def test_haar_rotation_is_the_bits_of_numpys_qr(d, seed):
-    # haar_rotation calls numpy's private QR gufuncs; this pins them to the
-    # public np.linalg.qr, so a numpy that changes them fails here
+@pytest.mark.parametrize("d,seed", [(d, seed) for d in (1, 2, 3, 7, 100, 129, 257)
+                                    for seed in (0, 1, 2)] + [(1000, 0)])
+def test_haar_rotation_is_the_bits_of_numpys_qr(d, seed, monkeypatch):
+    # haar_rotation calls the LAPACK routines of numpy's OpenBLAS itself; this
+    # pins them to the public np.linalg.qr, so a numpy that changes its QR, or
+    # the work size it passes, fails here. Without the routines it falls back
+    # to np.linalg.qr, which the second draw pins
     with blas_threads():
         Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
         expected = Q * np.sign(np.diag(R))
-        got = haar_rotation(d, np.random.default_rng(seed))
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+        lapack = haar_rotation(d, np.random.default_rng(seed))
+        monkeypatch.setattr(benchmarks, "openblas_function", lambda name: None)
+        fallback = haar_rotation(d, np.random.default_rng(seed))
+    for got in (lapack, fallback):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_haar_rotation_keeps_no_copy_of_the_drawn_matrix():
-    # in place: the drawn A (factored into R and the reflectors) and Q, plus
-    # small work arrays; np.linalg.qr's copy of A, its R and the sign
-    # product would take the peak above four d*d arrays
+    # the drawn A, its column-major copy (factored into R and the reflectors,
+    # then into Q) and the C-ordered Q, of which two are alive at a time,
+    # plus small work arrays; np.linalg.qr's copy of A, its R and the sign
+    # product would take the peak above four d*d arrays. tracemalloc sees
+    # numpy's arrays only, not the C buffers a gufunc mallocs, so it read
+    # 2.06*d*d*8 bytes with numpy's QR gufuncs too; the test below reads RSS
     d = 400
     haar_rotation(d, np.random.default_rng(0))  # warm-up
     tracemalloc.start()
@@ -196,6 +208,30 @@ def test_haar_rotation_keeps_no_copy_of_the_drawn_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * d * d * 8
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="no /proc/self/status to read RSS from")
+def test_a_haar_rotation_raises_the_resident_peak_by_at_most_two_and_a_half_matrices():
+    # in a fresh process, whose high-water mark no earlier test has raised:
+    # everything a d=1000 draw touches, C buffers included, counts in VmHWM
+    script = (
+        "import numpy as np\n"
+        "from adadgs.benchmarks import haar_rotation\n"
+        "from adadgs.harness import blas_threads\n"
+        "def status(key):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) * 1024 for line in fh\n"
+        "                    if line.startswith(key + ':'))\n"
+        "with blas_threads():\n"
+        "    haar_rotation(50, np.random.default_rng(0))\n"
+        "    before = status('VmRSS')\n"
+        "    haar_rotation(1000, np.random.default_rng(1))\n"
+        "    print(status('VmHWM') - before)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(benchmarks.__file__).parents[1])}
+    rise = int(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True, timeout=60).stdout)
+    assert rise <= 2.5 * 1000 * 1000 * 8, f"{rise / 8e6:.2f} d*d*8 bytes"
 
 
 @pytest.mark.parametrize("name", ["ackley", "rastrigin", "salomon", "wavy"])
