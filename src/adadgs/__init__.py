@@ -13,7 +13,7 @@ from .benchmarks import (
     optimum_value,
 )
 from .errors import EvaluationError
-from .gradient import Frame, dgs_gradient, dgs_stencil, directional_derivative, gs_mc_gradient
+from .gradient import dgs_gradient, dgs_stencil, directional_derivative, gs_mc_gradient
 from .gradient import QuadratureRule, gauss_hermite_rule
 from .harness import ExperimentSpec, list_functions, preset, run_experiment, run_trial
 from .optimizer import (

@@ -20,7 +20,7 @@ import numpy as np
 
 from .benchmarks import Lines
 from .errors import check_count, check_positive
-from .gradient import Frame, SampledGradient, finite_samples, gs_mc_gradient
+from .gradient import SampledGradient, finite_samples, gs_mc_gradient
 from .optimizer import Iterate, check_caps, drive
 
 
@@ -64,19 +64,17 @@ class BaselineConfig:
 
 def _descend(F, x0, cfg: BaselineConfig, cost: int, estimate):
     """Gradient descent on `estimate(x)`, a SampledGradient; each iteration
-    reports its best sample, rebuilt as `Lines.points` builds it, as f_current."""
+    reports its best sample, rebuilt by `Lines.point`, as f_current."""
     lam = cfg.learning_rate
 
     def iterations(x, f0):
         while True:
             est = estimate(x)
             k = int(np.argmin(est.values))
-            origin, directions, offsets = est.lines
-            i, j = divmod(k, len(offsets))
             x_new = x - lam * est.vector
             f_k = float(est.values[k])
             yield Iterate(f_k, cfg.sigma_or_h, float(np.linalg.norm(x_new - x)),
-                          origin + offsets[j] * directions[i], f_k)
+                          est.lines.point(k), f_k)
             x = x_new
 
     return drive(F, x0, cfg.sigma_or_h, iterations, cost, cfg.T_max, cfg.budget)
@@ -119,12 +117,13 @@ def nesterov_minimize(F, x0, cfg: BaselineConfig):
     return drive(F, x0, h, iterations, 2, cfg.T_max, cfg.budget)
 
 
-def fd_gradient(F, x, h: float, eye=None) -> SampledGradient:
+def fd_gradient(F, x, h: float) -> SampledGradient:
     """Central-difference gradient estimate: 2d evaluations, as one batch
-    `Lines(x, eye, [h, -h])`; pass a read-only identity reused over a trial
-    (a `Frame`'s matrix) so that a benchmark rotates it once."""
+    `Lines(x, None, [h, -h])` along the coordinate axes, which a benchmark
+    rotates once per trial. The step h is checked by `check_positive`."""
+    check_positive("h", h)
     x = np.asarray(x, float)
-    lines = Lines(x, np.eye(x.shape[0]) if eye is None else eye, np.array([h, -h]))
+    lines = Lines(x, None, np.array([h, -h]))
     values = finite_samples(F(lines))
     plus, minus = values.reshape(-1, 2).T
     return SampledGradient((plus - minus) / (2.0 * h), lines, values)
@@ -137,5 +136,4 @@ def fd_minimize(F, x0, cfg: BaselineConfig):
     value of the iteration (the iterate is only evaluated once, at x0).
     """
     cfg = cfg.resolved(F, "fd")
-    eye = Frame.identity(np.asarray(x0).shape[0]).matrix
-    return _descend(F, x0, cfg, 2 * len(eye), lambda x: fd_gradient(F, x, cfg.sigma_or_h, eye))
+    return _descend(F, x0, cfg, 2 * F.dim, lambda x: fd_gradient(F, x, cfg.sigma_or_h))

@@ -27,17 +27,28 @@ from .errors import EvaluationError, check_count
 
 class Lines(NamedTuple):
     """A structured batch: the k*m points origin + offsets[j] * directions[i],
-    direction-major (row i*m + j), for k directions and m offsets."""
+    direction-major (row i*m + j), for k directions and m offsets.
+    Directions None are the d coordinate axes, with no array built for them."""
 
     origin: np.ndarray  # shape (d,)
-    directions: np.ndarray  # shape (k, d)
+    directions: np.ndarray | None  # shape (k, d), or None: the axes, k = d
     offsets: np.ndarray  # shape (m,)
 
     @property
     def points(self) -> np.ndarray:
         """The batch as a (k*m, d) array of points."""
-        steps = self.offsets[None, :, None] * self.directions[:, None, :]
-        return (self.origin + steps).reshape(-1, self.origin.shape[0])
+        d = self.origin.shape[0]
+        directions = np.eye(d) if self.directions is None else self.directions
+        steps = self.offsets[None, :, None] * directions[:, None, :]
+        return (self.origin + steps).reshape(-1, d)
+
+    def point(self, k: int) -> np.ndarray:
+        """Row k of `points`, bit for bit, without building the others."""
+        i, j = divmod(k, len(self.offsets))
+        if self.directions is not None:
+            return self.origin + self.offsets[j] * self.directions[i]
+        # axis i as a mask: an offset times True or False is offset * 1.0 or * 0.0
+        return self.origin + self.offsets[j] * (np.arange(len(self.origin)) == i)
 
 
 class Objective:
@@ -67,14 +78,15 @@ class Objective:
 
     def __call__(self, x):
         if isinstance(x, Lines):
-            lines = Lines(*(np.asarray(a, float) for a in x))
+            lines = Lines(*(a if a is None else np.asarray(a, float) for a in x))
             origin, directions, offsets = lines
-            if (origin.shape != (self.dim,) or directions.ndim != 2
-                    or directions.shape[1] != self.dim or offsets.ndim != 1):
+            shape = (self.dim, self.dim) if directions is None else directions.shape
+            if (np.shape(origin) != (self.dim,) or len(shape) != 2
+                    or shape[1] != self.dim or np.ndim(offsets) != 1):
                 raise ValueError(
-                    f"expected lines of dim {self.dim}, got origin {origin.shape}, "
-                    f"directions {directions.shape}, offsets {offsets.shape}")
-            self._count += directions.shape[0] * offsets.shape[0]
+                    f"expected lines of dim {self.dim}, got origin {np.shape(origin)}, "
+                    f"directions {shape}, offsets {np.shape(offsets)}")
+            self._count += shape[0] * offsets.shape[0]
             return np.asarray(self._eval_lines(lines), float)
         x = np.asarray(x, float)
         if x.shape != (self.dim,):
@@ -262,10 +274,11 @@ class TransformedBenchmark(Objective):
     z0 + offsets[j] * W[i] with z0 = R(origin - x_opt) + z_star and
     W = directions R^T, so no point array is built and the rotation costs
     k*d*d instead of k*m*d*d. W is kept for the last directions array that
-    is read-only and owns its data (a `Frame`'s matrix), matched by
-    identity, so a frame is rotated once however often it is used. The
-    identity frame, which every AdaDGS and `fd` trial starts from, is
-    rotated without a matmul: its W is a copy of R^T.
+    is read-only and owns its data (a random frame from
+    `optimizer.random_rotation`), matched by identity, so a frame is rotated
+    once however often it is used. The coordinate axes (directions None),
+    which every AdaDGS and `fd` trial starts from, are rotated without a
+    matmul: their W is a copy of R^T, kept the same way.
 
     The batch is built and evaluated in blocks of whole directions. A batch
     of at most `BLOCK_ELEMENTS` (2**16) coordinates runs serially in blocks
@@ -290,7 +303,7 @@ class TransformedBenchmark(Objective):
         self.rotation = np.asarray(rotation, float)
         self.x_opt = np.asarray(x_opt, float)
         self._info = info
-        self._rotated = (None, None)  # (directions, directions @ R^T)
+        self._rotated = ((), None)  # (directions, W); () matches no directions
 
         # fn must not refer to self: the cycle would keep each benchmark's
         # d x d arrays alive until the cyclic garbage collector runs
@@ -303,13 +316,10 @@ class TransformedBenchmark(Objective):
         origin, directions, offsets = lines
         cached, W = self._rotated
         if cached is not directions:
-            # I R^T is R^T bit for bit, so the identity frame needs no matmul
-            identity = (directions.shape == self.rotation.shape
-                        and (directions.diagonal() == 1).all()
-                        and np.count_nonzero(directions) == self.dim)
-            W = self.rotation.T.copy() if identity else directions @ self.rotation.T
+            # I R^T is R^T bit for bit, so the axes need no matmul
+            W = self.rotation.T.copy() if directions is None else directions @ self.rotation.T
             # a read-only array that owns its data cannot change under the cache
-            if not directions.flags.writeable and directions.base is None:
+            if directions is None or (not directions.flags.writeable and directions.base is None):
                 self._rotated = (directions, W)
         z0 = _to_base(origin, self.rotation, self.x_opt, self._info.z_star)
         base_fn, d, m, k = self._info.fn, self.dim, len(offsets), len(W)
@@ -396,10 +406,14 @@ def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     return Q
 
 
+_WORK_SIZES: dict = {}  # (routine name, n) -> LWORK, filled by _lapack's queries
+
+
 def _lapack(routine, integer, sizes: int, F: np.ndarray, tau: np.ndarray) -> None:
     """Call the LAPACK routine (M, N[, K], A, LDA, TAU, WORK, LWORK, INFO) on
-    the square column-major F, every size len(F), after a workspace query:
-    LWORK is max(1, N, the size it asks for), as numpy's gufuncs pass."""
+    the square column-major F, every size len(F). LWORK is max(1, N, the size
+    a workspace query asks for), as numpy's gufuncs pass; the query runs on
+    the first call for each routine and size, and its answer is kept."""
     n, info = ctypes.byref(integer(len(F))), integer()
 
     def call(work, lwork):
@@ -409,10 +423,11 @@ def _lapack(routine, integer, sizes: int, F: np.ndarray, tau: np.ndarray) -> Non
             raise np.linalg.LinAlgError(
                 "Incorrect argument found while performing QR factorization")
 
-    query = np.empty(1)
-    call(query, -1)
-    lwork = max(1, len(F), int(query[0]))
-    call(np.empty(lwork), lwork)
+    if (key := (routine.__name__, len(F))) not in _WORK_SIZES:
+        query = np.empty(1)
+        call(query, -1)
+        _WORK_SIZES[key] = max(1, len(F), int(query[0]))
+    call(np.empty(_WORK_SIZES[key]), _WORK_SIZES[key])
 
 
 @functools.cache

@@ -51,30 +51,6 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order=int(order), nodes=nodes, weights=weights)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Orthonormal direction system; row i of `matrix` is direction xi_i.
-
-    `matrix` is a read-only copy, so an objective may key work it derives
-    from the directions on the array itself.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, float)
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @staticmethod
-    def identity(d: int) -> "Frame":
-        return Frame(np.eye(d))
-
-
 class SampledGradient(NamedTuple):
     """A gradient estimate with the `Lines` batch it sampled and its values."""
 
@@ -98,21 +74,24 @@ def finite_samples(values) -> np.ndarray:
     return values
 
 
-def dgs_stencil(x: np.ndarray, frame: Frame, sigma: float, rule: QuadratureRule) -> Lines:
+def dgs_stencil(x: np.ndarray, frame: np.ndarray | None, sigma: float,
+                rule: QuadratureRule) -> Lines:
     """Sample locations x + sqrt(2) sigma v_m xi_i for every direction i and
     nonzero node v_m, as one `Lines` batch along the frame's directions
     (direction-major); no point array is built.
 
-    A zero node's summand is multiplied by v_m = 0, so it is never sampled.
+    A frame is a (d, d) array whose row i is the direction xi_i, or None for
+    the d coordinate axes, which go into the batch as None. A zero node's
+    summand is multiplied by v_m = 0, so it is never sampled.
     """
     x = np.asarray(x, float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite point x")
     check_positive("sigma", sigma)
-    if frame.dim != x.shape[0]:
-        raise ValueError(f"frame dim {frame.dim} != point dim {x.shape[0]}")
+    if frame is not None and frame.shape != (len(x), len(x)):
+        raise ValueError(f"frame shape {frame.shape} != ({len(x)}, {len(x)})")
     nodes = rule.nodes
-    return Lines(x, frame.matrix, SQRT2 * sigma * nodes[nodes != 0.0])
+    return Lines(x, frame, SQRT2 * sigma * nodes[nodes != 0.0])
 
 
 def directional_derivative(
@@ -139,17 +118,18 @@ def directional_derivative(
 def dgs_gradient(
     F,
     x: np.ndarray,
-    frame: Frame,
+    frame: np.ndarray | None,
     sigma: float,
     rule: QuadratureRule,
 ) -> np.ndarray:
     """The DGS gradient surrogate at x, shape (d,): the per-direction
     smoothed derivatives from one batched stencil, assembled against the
-    frame."""
-    values = finite_samples(F(dgs_stencil(x, frame, sigma, rule)))
-    full = np.zeros((frame.dim, rule.order))
-    full[:, rule.nodes != 0.0] = values.reshape(frame.dim, -1)
-    return directional_derivative(full, sigma, rule) @ frame.matrix
+    frame; on the axes (frame None) they are the gradient."""
+    lines = dgs_stencil(x, frame, sigma, rule)
+    full = np.zeros((len(lines.origin), rule.order))
+    full[:, rule.nodes != 0.0] = finite_samples(F(lines)).reshape(len(full), -1)
+    derivatives = directional_derivative(full, sigma, rule)
+    return derivatives if frame is None else derivatives @ frame
 
 
 def gs_mc_gradient(
@@ -167,6 +147,7 @@ def gs_mc_gradient(
     exactly 0).
     """
     x = np.asarray(x, float)
+    check_positive("sigma", sigma)
     check_count("n_samples", n_samples, 2)
     if n_samples % 2:
         raise ValueError(f"n_samples must be even, got {n_samples}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .benchmarks import Lines, Objective, haar_rotation
 from .errors import check_count, check_positive, check_real
-from .gradient import MAX_ORDER, Frame, dgs_gradient, finite_samples, gauss_hermite_rule
+from .gradient import MAX_ORDER, dgs_gradient, finite_samples, gauss_hermite_rule
 from .trace import Trace
 
 DEGENERATE_NORM = 1e-12
@@ -41,7 +41,7 @@ class AdaDgsConfig:
     diagonal, L_min to 0.005*L_max (or L_max * contraction**(S-1) when a
     contraction factor is given), S to max(12, round(0.05*M*d)), and sigma0
     to sigma0_scale times the domain width. The search starts from the
-    identity frame; a reset draws a random one. The next radius is the mean
+    coordinate axes; a reset draws a random frame. The next radius is the mean
     of the current one and the distance the line search moved.
 
     `validate` checks the counts (M, S, reset_interval, T_max, budget) with
@@ -222,15 +222,18 @@ def sigma_update(sigma_prev: float, step: float) -> float:
     return 0.5 * (sigma_prev + step)
 
 
-def random_rotation(d: int, rng: np.random.Generator) -> Frame:
-    """Haar-distributed random orthonormal frame."""
+def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed random orthonormal frame, row i its direction i. It is
+    read-only and owns its data, so a benchmark may cache its rotation."""
     check_count("d", d, 1)
-    return Frame(haar_rotation(d, rng))
+    frame = haar_rotation(d, rng)
+    frame.flags.writeable = False
+    return frame
 
 
-def adadgs_step(F, x, f, frame: Frame, sigma: float, cfg: AdaDgsConfig):
-    """One iteration at x, of value f: the DGS gradient on `frame` with
-    radius sigma, then the line search along it.
+def adadgs_step(F, x, f, frame: np.ndarray | None, sigma: float, cfg: AdaDgsConfig):
+    """One iteration at x, of value f: the DGS gradient on `frame` (None: the
+    coordinate axes) with radius sigma, then the line search along it.
 
     Returns (x_new, f_new, step, sigma_next, stalled); `stalled` is set when
     the relative improvement is below gamma, or when the gradient gives no
@@ -260,7 +263,7 @@ def adadgs_minimize(F, x0, cfg: AdaDgsConfig) -> tuple[np.ndarray, float, Trace]
     rng = np.random.default_rng(cfg.seed)
 
     def iterations(x, f):
-        frame, sigma, last_reset = Frame.identity(d), cfg.sigma0, None
+        frame, sigma, last_reset = None, cfg.sigma0, None
         for t in itertools.count():
             x, f, step, sigma, stalled = adadgs_step(F, x, f, frame, sigma, cfg)
             if stalled and (last_reset is None or t - last_reset >= cfg.reset_interval):

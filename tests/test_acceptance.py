@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from adadgs.benchmarks import BENCHMARKS, Objective, make_benchmark, optimum_value
-from adadgs.gradient import Frame, dgs_gradient
+from adadgs.gradient import dgs_gradient
 from adadgs.harness import (
     ExperimentSpec,
     parse_trace_csv,
@@ -239,7 +239,7 @@ def test_criterion_8_invariant_battery():
     # frame orthonormality after random rotation
     for _ in range(250):
         d = int(rng.integers(1, 31))
-        M = random_rotation(d, rng).matrix
+        M = random_rotation(d, rng)
         assert np.max(np.abs(M @ M.T - np.eye(d))) <= 1e-10
         cases += 1
 

@@ -157,6 +157,18 @@ def test_fd_gradient_matches_analytic():
     g = fd_gradient(F, x, h=1e-5)
     np.testing.assert_allclose(g.vector, A @ x, rtol=1e-6)
     assert F.evals == 2 * d
+    # one batch along the coordinate axes, with no identity array built
+    assert g.lines.directions is None
+    np.testing.assert_array_equal(g.lines.offsets, [1e-5, -1e-5])
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+def test_fd_gradient_rejects_a_step_that_is_not_positive_and_finite(h):
+    # a step of 0, NaN or inf gave an all-NaN gradient with no error
+    F = sphere(3)
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        fd_gradient(F, np.ones(3), h)
+    assert F.evals == 0
 
 
 def test_fd_sphere_one_step():

@@ -22,8 +22,8 @@ from adadgs.benchmarks import (
     make_benchmark,
     optimum_value,
 )
-from adadgs.gradient import Frame
 from adadgs.harness import blas_threads
+from adadgs.optimizer import AdaDgsConfig, adadgs_minimize, random_rotation
 
 DOMAINS = {
     "ackley": (-32.768, 32.768),
@@ -234,6 +234,68 @@ def test_a_haar_rotation_raises_the_resident_peak_by_at_most_two_and_a_half_matr
     assert rise <= 2.5 * 1000 * 1000 * 8, f"{rise / 8e6:.2f} d*d*8 bytes"
 
 
+@pytest.mark.parametrize("path", ["lapack", "fallback"])
+def test_a_random_frame_is_read_only_owns_its_data_and_is_cached(path, monkeypatch):
+    # random_rotation hands out the drawn Q itself, with no copy, on both
+    # draw paths; a benchmark caches its rotation by the array's identity
+    if path == "fallback":
+        monkeypatch.setattr(benchmarks, "openblas_function", lambda name: None)
+    frame = random_rotation(6, np.random.default_rng(3))
+    assert not frame.flags.writeable and frame.flags.owndata and frame.base is None
+    assert frame.flags.c_contiguous
+    b = make_benchmark("rastrigin", 6, 1)
+    b(Lines(np.zeros(6), frame, np.array([-1.0, 1.0])))
+    assert b._rotated[0] is frame
+
+
+def test_the_lapack_workspace_is_queried_once_per_routine_and_size(monkeypatch):
+    # every draw ran a workspace query (LWORK = -1) before each routine; the
+    # size it answers is kept per routine and d, with the same bits
+    real = benchmarks.openblas_function
+    if real("scipy_dgeqrf_64_") is None or real("scipy_dorgqr_64_") is None:
+        pytest.skip("numpy's OpenBLAS lacks the QR routines")
+    lworks = []
+
+    def spied(name):
+        routine, integer = real(name)
+
+        def call(*args):
+            lworks.append((name, args[-2]._obj.value))  # LWORK, passed by reference
+            return routine(*args)
+
+        call.__name__ = routine.__name__
+        return call, integer
+
+    monkeypatch.setattr(benchmarks, "openblas_function", spied)
+    monkeypatch.setattr(benchmarks, "_WORK_SIZES", {})
+    first = haar_rotation(11, np.random.default_rng(0))
+    assert [lwork for _, lwork in lworks].count(-1) == 2
+    queried, lworks[:] = list(lworks), []
+    again = haar_rotation(11, np.random.default_rng(0))
+    assert lworks == [call for call in queried if call[1] != -1] and len(lworks) == 2
+    assert again.tobytes() == first.tobytes()
+    haar_rotation(12, np.random.default_rng(0))
+    assert [lwork for _, lwork in lworks].count(-1) == 2  # a new size is queried
+
+
+def test_an_adadgs_trial_on_the_axes_allocates_no_matrix_but_the_cached_w():
+    # a d=1000 trial's first stencil, on the coordinate axes: the benchmark's
+    # W, a copy of R^T, is the one d x d array it allocates; an identity
+    # frame's matrix took a second. gamma=0 and one iteration, so no frame
+    # is drawn; S=2 keeps the line search's block small
+    d = 1000
+    b = make_benchmark("ackley", d, 0)
+    x0 = np.random.default_rng(1).uniform(b.lower, b.upper)
+    tracemalloc.start()
+    try:
+        adadgs_minimize(b, x0, AdaDgsConfig(T_max=1, gamma=0.0, S=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b._rotated[0] is None and b._rotated[1].nbytes == d * d * 8
+    assert peak < 1.75 * d * d * 8, f"{peak / (d * d * 8):.2f} d*d*8 bytes"
+
+
 @pytest.mark.parametrize("name", ["ackley", "rastrigin", "salomon", "wavy"])
 def test_identity_transform_equivalence(name):
     # origin-minimum functions: R=I, x_opt=0 reproduces the base bit-for-bit
@@ -320,10 +382,10 @@ def stencil_and_line_search_batches(b, rng):
     line-search-shaped one (1 writable direction, 20 offsets)."""
     d = b.dim
     origin = rng.uniform(b.lower, b.upper)
-    frame = Frame(haar_rotation(d, rng))
+    frame = random_rotation(d, rng)
     ghat = rng.standard_normal(d)
     ghat /= np.linalg.norm(ghat)
-    return (Lines(origin, frame.matrix, rng.uniform(-3.0, 3.0, 4)),
+    return (Lines(origin, frame, rng.uniform(-3.0, 3.0, 4)),
             Lines(origin, ghat[None, :], -np.geomspace(50.0, 0.1, 20)))
 
 
@@ -332,6 +394,36 @@ def test_lines_points_are_direction_major():
                   np.array([-1.0, 3.0]))
     np.testing.assert_array_equal(lines.points,
                                   [[0.0, 2.0], [4.0, 2.0], [1.0, 1.0], [1.0, 5.0]])
+
+
+def axes_and_eye(d, offsets, rng):
+    """A batch along the d coordinate axes, as None and as an explicit np.eye;
+    the origin holds a -0.0, which adding +0.0 would turn into 0.0."""
+    origin = rng.uniform(-2.0, 2.0, d)
+    origin[0] = -0.0
+    return Lines(origin, None, offsets), Lines(origin, np.eye(d), offsets)
+
+
+def test_axes_points_are_the_explicit_eyes_bit_for_bit():
+    rng = np.random.default_rng(12)
+    axes, eye = axes_and_eye(5, np.array([-1.5, 0.0, 2.0]), rng)
+    assert axes.points.tobytes() == eye.points.tobytes()
+    # point(k) is row k of points, for the axes and for explicit directions
+    for lines in (axes, eye, Lines(axes.origin, rng.standard_normal((3, 5)), axes.offsets)):
+        points = lines.points
+        assert all(lines.point(k).tobytes() == points[k].tobytes() for k in range(len(points)))
+
+
+def test_an_objective_counts_a_batch_along_the_axes_as_d_times_m():
+    seen = []
+    F = Objective(lambda X: seen.append(X.copy()) or np.sum(X**2, axis=1), 5, (-1.0, 1.0))
+    axes, eye = axes_and_eye(5, np.array([-1.0, 0.5, 2.0]), np.random.default_rng(13))
+    values = F(axes)
+    assert F.evals == 5 * 3 and values.shape == (15,)
+    assert np.array_equal(values, F(eye)) and seen[0].tobytes() == seen[1].tobytes()
+    b = make_benchmark("ackley", 5, 0)
+    b(axes)
+    assert b.evals == 15
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
@@ -374,6 +466,13 @@ def test_lines_shape_validation():
         b(Lines(np.zeros(4), np.ones(4), np.ones(2)))
     with pytest.raises(ValueError):
         b(Lines(np.zeros(4), np.eye(4), np.ones((2, 1))))
+    # the axes (directions None) are checked against the origin and offsets
+    with pytest.raises(ValueError, match=r"directions \(4, 4\)"):
+        b(Lines(np.zeros(5), None, np.ones(2)))
+    for bad in (Lines(np.zeros((4, 1)), None, np.ones(2)), Lines(np.zeros(4), None, np.ones((2, 1))),
+                Lines(None, None, np.ones(2)), Lines(np.zeros(4), None, None)):
+        with pytest.raises(ValueError, match="expected lines of dim 4"):
+            b(bad)
     assert b.evals == 0
 
 
@@ -382,10 +481,10 @@ def test_new_frame_gets_new_rotated_directions():
     b = make_benchmark("rastrigin", 10, 1)
     origin, offsets = rng.uniform(-1, 1, 10), np.array([-0.5, 0.5])
     for _ in range(3):
-        frame = Frame(haar_rotation(10, rng))
-        lines = Lines(origin, frame.matrix, offsets)
+        frame = random_rotation(10, rng)
+        lines = Lines(origin, frame, offsets)
         np.testing.assert_allclose(b(lines), b.fn(lines.points), rtol=1e-12)
-        assert b._rotated[0] is frame.matrix
+        assert b._rotated[0] is frame
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
@@ -398,21 +497,34 @@ def test_identity_frame_is_rotated_without_a_matmul(name):
     assert (np.eye(d)[::-1] @ R_T).tobytes() == R_T[::-1].tobytes()
     rng = np.random.default_rng(10)
     origin, offsets = rng.uniform(*DOMAINS[name], d), np.array([-0.5, 0.5, 1.0])
-    identity = Frame.identity(d).matrix
-    values = b(Lines(origin, identity, offsets))
+    values = b(Lines(origin, None, offsets))
     cached, W = b._rotated
-    assert cached is identity and W.flags.c_contiguous and W.tobytes() == R_T.tobytes()
+    assert cached is None and W.flags.c_contiguous and W.tobytes() == R_T.tobytes()
+    assert W.base is None and not np.shares_memory(W, b.rotation)
+    # an explicit identity is a writable array like any other: the matmul
+    # path, uncached, with the axes' values bit for bit
+    assert np.array_equal(b(Lines(origin, np.eye(d), offsets)), values)
+    assert b._rotated[0] is None and b._rotated[1] is W
     # a reversed identity is no identity, so it takes the matmul path
     reversed_values = b(Lines(origin, np.eye(d)[::-1], offsets))
     assert np.array_equal(values, reversed_values.reshape(d, -1)[::-1].ravel())
+    # no matmul makes the axes' W: a NaN in R stays in its place in a copy of
+    # R^T, where I R^T would spread it over a row (0 * NaN is NaN)
+    R = b.rotation.copy()
+    R[1, 2] = np.nan
+    c = TransformedBenchmark(name, R, b.x_opt)
+    with np.errstate(all="ignore"):
+        c(Lines(origin, None, offsets))
+        assert np.isnan(np.eye(d) @ R.T).sum() == d
+    assert c._rotated[1].tobytes() == R.T.copy().tobytes()
 
 
 def test_writable_directions_are_never_cached():
     rng = np.random.default_rng(9)
     b = make_benchmark("ellipsoidal", 8, 3)
-    frame = Frame(haar_rotation(8, rng))
+    frame = random_rotation(8, rng)
     origin, offsets = rng.uniform(-1, 1, 8), np.array([-1.0, 1.0])
-    b(Lines(origin, frame.matrix, offsets))
+    b(Lines(origin, frame, offsets))
     directions = rng.standard_normal((2, 8))
     view = directions.view()
     view.flags.writeable = False  # read-only, but its data can still change
@@ -422,14 +534,14 @@ def test_writable_directions_are_never_cached():
         lines = Lines(origin, D, offsets)
         np.testing.assert_allclose(b(lines), b.fn(lines.points), rtol=1e-12)
         # the frame's entry is neither replaced nor evicted
-        assert b._rotated[0] is frame.matrix
+        assert b._rotated[0] is frame
 
 
 def test_benchmark_is_freed_without_the_cycle_collector():
-    # a reference cycle would keep the rotation, the cached frame and its
-    # rotated directions (3 d x d arrays) alive until the collector runs
+    # a reference cycle would keep the rotation and the axes' rotated
+    # directions (2 d x d arrays) alive until the collector runs
     b = make_benchmark("ackley", 6, 0)
-    b(Lines(np.zeros(6), Frame.identity(6).matrix, np.array([-1.0, 1.0])))
+    b(Lines(np.zeros(6), None, np.array([-1.0, 1.0])))
     ref = weakref.ref(b)
     gc.disable()
     try:
@@ -488,7 +600,7 @@ def test_threaded_blocks_keep_the_callers_errstate(monkeypatch):
     # path: an overflow it ignores is inf with no warning, one it raises on
     # is a FloatingPointError
     b = make_benchmark("quintic", 6, 0)
-    lines = Lines(np.full(6, 1e70), Frame.identity(6).matrix, np.array([-1.0, 1.0]))
+    lines = Lines(np.full(6, 1e70), None, np.array([-1.0, 1.0]))
     for rows in (None, 1):
         with np.errstate(over="ignore"):
             assert np.all(blocked_values(b, lines, monkeypatch, rows, 2) == np.inf)

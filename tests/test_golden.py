@@ -3,10 +3,11 @@ and the manifest's `config`, for a set of small runs. A change that moves any
 trajectory by one ulp changes a hash.
 
 The runs cover the four optimizers, the serial and the threaded block paths
-of a `Lines` batch, the identity frame every AdaDGS and `fd` trial starts
-from, frame resets (AdaDGS's default config) and the process pool. The hashes
-hold for the software recorded beside them; where the running software
-differs, the test skips and names the first field that differs.
+of a `Lines` batch, the coordinate axes (directions None) every AdaDGS and
+`fd` trial starts from, frame resets (AdaDGS's default config) and the
+process pool. The hashes hold for the software recorded beside them; where
+the running software differs, the test skips and names the first field
+that differs.
 
 After a change that moves the outputs on purpose, regenerate the file with
 

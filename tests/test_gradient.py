@@ -11,13 +11,13 @@ import adadgs
 from adadgs.benchmarks import Lines, Objective, haar_rotation
 from adadgs.errors import EvaluationError
 from adadgs.gradient import (
-    Frame,
     dgs_gradient,
     dgs_stencil,
     directional_derivative,
     gs_mc_gradient,
 )
 from adadgs.gradient import gauss_hermite_rule
+from adadgs.optimizer import random_rotation
 
 
 def counted(fn, d, width=10.0):
@@ -38,46 +38,54 @@ def linear_objective(c):
 
 
 def test_frame_matrix_is_a_read_only_copy():
-    M = np.eye(3)
-    frame = Frame(M)
+    # a random frame is a plain (d, d) array that no caller can write to,
+    # through it or through an array it is a view of
+    frame = random_rotation(3, np.random.default_rng(1))
+    value = frame[0, 0]
     with pytest.raises(ValueError):
-        frame.matrix[0, 0] = 2.0
-    M[0, 0] = 2.0  # the caller's array stays writable and apart
-    assert frame.matrix[0, 0] == 1.0
+        frame[0, 0] = 2.0
+    assert frame.base is None and frame.flags.owndata
+    assert frame[0, 0] == value
 
 
 def test_stencil_is_one_lines_batch_along_the_frame():
     rule = gauss_hermite_rule(5)
-    frame = Frame(haar_rotation(3, np.random.default_rng(1)))
+    frame = random_rotation(3, np.random.default_rng(1))
     x = np.array([0.5, -1.0, 2.0])
     st = dgs_stencil(x, frame, 0.7, rule)
     assert isinstance(st, Lines)
-    assert st.origin is x and st.directions is frame.matrix
+    assert st.origin is x and st.directions is frame
     # the zero node of the 5-point rule is never sampled
     np.testing.assert_array_equal(st.offsets, np.sqrt(2.0) * 0.7 * rule.nodes[[0, 1, 3, 4]])
+    # the coordinate axes go into the batch as None, with no array built
+    axes = dgs_stencil(x, None, 0.7, rule)
+    assert axes.origin is x and axes.directions is None
+    np.testing.assert_array_equal(axes.offsets, st.offsets)
+    with pytest.raises(ValueError, match="frame shape"):
+        dgs_stencil(x, frame[:2], 0.7, rule)
 
 
 def test_stencil_counts_skip():
     rule = gauss_hermite_rule(3)
-    st = dgs_stencil(np.zeros(2), Frame.identity(2), 1.0, rule)
+    st = dgs_stencil(np.zeros(2), None, 1.0, rule)
     assert st.points.shape == (4, 2)
 
 
 def test_stencil_points_m2_1d():
     # sqrt(2) * sigma * (+-1/sqrt(2)) = +-1
     rule = gauss_hermite_rule(2)
-    st = dgs_stencil(np.zeros(1), Frame.identity(1), 1.0, rule)
+    st = dgs_stencil(np.zeros(1), None, 1.0, rule)
     np.testing.assert_allclose(np.sort(st.points[:, 0]), [-1.0, 1.0], atol=1e-14)
 
 
 def test_stencil_rejects_bad_input():
     rule = gauss_hermite_rule(3)
     with pytest.raises(ValueError):
-        dgs_stencil(np.array([np.nan, 0.0]), Frame.identity(2), 1.0, rule)
+        dgs_stencil(np.array([np.nan, 0.0]), None, 1.0, rule)
     with pytest.raises(ValueError):
-        dgs_stencil(np.zeros(2), Frame.identity(2), -1.0, rule)
+        dgs_stencil(np.zeros(2), None, -1.0, rule)
     with pytest.raises(ValueError):
-        dgs_stencil(np.zeros(2), Frame.identity(2), np.inf, rule)
+        dgs_stencil(np.zeros(2), None, np.inf, rule)
 
 
 # --- directional derivative ------------------------------------------------
@@ -120,7 +128,7 @@ def test_nonfinite_value_reports_index():
     x = np.zeros(3)
     F = counted(lambda X: np.where(X[:, 1] > 0.5, np.nan, X.sum(axis=1)), 3)
     with pytest.raises(EvaluationError) as exc:
-        dgs_gradient(F, x, Frame.identity(3), 1.0, gauss_hermite_rule(3))
+        dgs_gradient(F, x, None, 1.0, gauss_hermite_rule(3))
     assert exc.value.index == 3
 
 
@@ -137,7 +145,7 @@ def test_linear_gradient_any_frame():
     rng = np.random.default_rng(5)
     c = rng.normal(size=7)
     F = linear_objective(c)
-    frame = Frame(haar_rotation(7, rng))
+    frame = random_rotation(7, rng)
     rule = gauss_hermite_rule(4)
     g = dgs_gradient(F, rng.normal(size=7), frame, 2.5, rule)
     np.testing.assert_allclose(g, c, rtol=1e-10)
@@ -150,7 +158,7 @@ def test_quadratic_gradient_matches_matrix_product():
     A = A + A.T
     F = quadratic_objective(A)
     x = rng.normal(size=d)
-    frame = Frame(haar_rotation(d, rng))
+    frame = random_rotation(d, rng)
     rule = gauss_hermite_rule(2)
     g = dgs_gradient(F, x, frame, 3.0, rule)
     np.testing.assert_allclose(g, A @ x, rtol=1e-8)
@@ -160,7 +168,10 @@ def test_identity_frame_decouples():
     F = counted(lambda X: np.sum(X**4, axis=1), 2)
     rule = gauss_hermite_rule(5)
     x = np.array([0.7, -1.3])
-    g = dgs_gradient(F, x, Frame.identity(2), 0.8, rule)
+    g = dgs_gradient(F, x, None, 0.8, rule)
+    # on the axes the derivatives are the gradient: no product with I, whose
+    # result they equal bit for bit
+    assert np.array_equal(g, dgs_gradient(F, x, np.eye(2), 0.8, rule))
     for i in range(2):
         y = np.sqrt(2) * 0.8 * rule.nodes
         vals = (x[i] + y) ** 4
@@ -176,13 +187,13 @@ def test_reassembly_invariant():
     rng = np.random.default_rng(3)
     d = 6
     F = counted(lambda X: np.sin(X).sum(axis=1) + (X**2).sum(axis=1), d)
-    frame = Frame(haar_rotation(d, rng))
+    frame = random_rotation(d, rng)
     x = rng.normal(size=d)
     rule = gauss_hermite_rule(5)
     g = dgs_gradient(F, x, frame, 1.2, rule)
     directional = per_direction_reference(F, x, frame, 1.2, rule, skip_zero_node=True)
     np.testing.assert_allclose(
-        g, directional @ frame.matrix, rtol=1e-12, atol=1e-15
+        g, directional @ frame, rtol=1e-12, atol=1e-15
     )
 
 
@@ -192,8 +203,8 @@ def test_frame_invariance_for_linear():
     F = linear_objective(c)
     rule = gauss_hermite_rule(3)
     x = rng.normal(size=4)
-    g1 = dgs_gradient(F, x, Frame(haar_rotation(4, rng)), 1.5, rule)
-    g2 = dgs_gradient(F, x, Frame(haar_rotation(4, rng)), 1.5, rule)
+    g1 = dgs_gradient(F, x, random_rotation(4, rng), 1.5, rule)
+    g2 = dgs_gradient(F, x, random_rotation(4, rng), 1.5, rule)
     np.testing.assert_allclose(g1, g2, rtol=1e-9)
 
 
@@ -204,7 +215,7 @@ def test_rotation_covariance_on_quadratics(d):
     A = A + A.T
     R = haar_rotation(d, rng)
     x = rng.normal(size=d)
-    frame = Frame(haar_rotation(d, rng))
+    frame = random_rotation(d, rng)
     rule = gauss_hermite_rule(3)
     sigma = 0.9
 
@@ -212,7 +223,7 @@ def test_rotation_covariance_on_quadratics(d):
     F_rot = counted(lambda X: F.fn(X @ R.T), d)
 
     g_rot = dgs_gradient(F_rot, x, frame, sigma, rule)
-    rotated_frame = Frame(frame.matrix @ R.T)  # directions R @ xi_i
+    rotated_frame = frame @ R.T  # directions R @ xi_i
     g_plain = dgs_gradient(F, R @ x, rotated_frame, sigma, rule)
     np.testing.assert_allclose(g_rot, R.T @ g_plain, rtol=1e-8)
 
@@ -222,8 +233,8 @@ def per_direction_reference(F, x, frame, sigma, rule, skip_zero_node):
     # cross-section; a skipped zero node's slot is left at 0, an unskipped
     # one holds its sample
     nodes = [m for m in range(rule.order) if not (skip_zero_node and rule.nodes[m] == 0.0)]
-    directional = np.empty(frame.dim)
-    for i, xi in enumerate(frame.matrix):
+    directional = np.empty(len(frame))
+    for i, xi in enumerate(frame):
         full = np.zeros(rule.order)
         for m in nodes:
             full[m] = F(x + np.sqrt(2.0) * sigma * rule.nodes[m] * xi)
@@ -240,11 +251,11 @@ def test_single_call_assembly_matches_per_direction_loop(M, ref_skips):
     d = 9
     F = counted(lambda X: np.sin(3 * X).sum(axis=1) + (X**2).sum(axis=1) ** 1.5, d)
     x = rng.normal(size=d)
-    frame = Frame(haar_rotation(d, rng))
+    frame = random_rotation(d, rng)
     rule = gauss_hermite_rule(M)
     g = dgs_gradient(F, x, frame, 0.7, rule)
     ref = per_direction_reference(F, x, frame, 0.7, rule, ref_skips)
-    np.testing.assert_array_equal(g, ref @ frame.matrix)
+    np.testing.assert_array_equal(g, ref @ frame)
 
 
 def test_zero_node_skip_bit_identical():
@@ -252,15 +263,15 @@ def test_zero_node_skip_bit_identical():
     d = 4
     F = counted(lambda X: np.cos(X).sum(axis=1) * np.exp(-np.abs(X).sum(axis=1) / 10), d)
     x = rng.normal(size=d)
-    frame = Frame(haar_rotation(d, rng))
+    frame = random_rotation(d, rng)
     rule = gauss_hermite_rule(5)
     g_skip = dgs_gradient(F, x, frame, 1.1, rule)
     # the same quadrature with the zero node sampled: every node, every direction
     c = np.sqrt(2.0) * 1.1 * rule.nodes
-    full = F(Lines(x, frame.matrix, c)).reshape(d, rule.order)
+    full = F(Lines(x, frame, c)).reshape(d, rule.order)
     assert np.all(full[:, 2] != 0.0)  # the zero node's samples are real values
     directional = directional_derivative(full, 1.1, rule)
-    assert np.array_equal(g_skip, directional @ frame.matrix)
+    assert np.array_equal(g_skip, directional @ frame)
 
 
 @pytest.mark.parametrize("M,has_zero_node,per_dir", [(4, False, 4), (5, True, 4),
@@ -270,7 +281,7 @@ def test_evals_used(M, has_zero_node, per_dir):
     rule = gauss_hermite_rule(M)
     assert (0.0 in rule.nodes) == has_zero_node
     F = counted(lambda X: (X**2).sum(axis=1), d)
-    dgs_gradient(F, np.zeros(d), Frame.identity(d), 1.0, rule)
+    dgs_gradient(F, np.zeros(d), None, 1.0, rule)
     assert F.evals == per_dir * d
 
 
@@ -314,6 +325,15 @@ def test_mc_odd_samples_rejected_when_antithetic():
     with pytest.raises(ValueError):
         gs_mc_gradient(F, np.zeros(2), 1.0, 3,
                        rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+def test_mc_rejects_a_radius_that_is_not_positive_and_finite(sigma):
+    # a radius of 0, NaN or inf gave an all-NaN gradient with no error
+    F = counted(lambda X: (X**2).sum(axis=1), 3)
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        gs_mc_gradient(F, np.ones(3), sigma, 4, rng=np.random.default_rng(0))
+    assert F.evals == 0
 
 
 def test_mc_nonfinite_raises():

@@ -52,6 +52,21 @@ def test_lines_batch_counts_what_the_worker_answers(tmp_path):
     assert int(count_file.read_text()) == F.evals
 
 
+def test_a_batch_along_the_axes_sends_the_explicit_identitys_points():
+    # directions None reach the worker as the points np.eye would give,
+    # down to the -0.0 that adding +0.0 would turn into 0.0
+    origin, offsets = np.array([1.0, -0.0, 0.5]), np.array([-0.25, 0.5])
+    with spawn(d=3) as F:
+        sent, roundtrip = [], F._roundtrip
+        F._roundtrip = lambda line: sent.append(line) or roundtrip(line)
+        axes = F(Lines(origin, None, offsets))
+        requests, sent[:] = list(sent), []
+        eye = F(Lines(origin, np.eye(3), offsets))
+        assert requests == sent and len(sent) == 6
+        np.testing.assert_array_equal(axes, eye)
+        assert F.evals == 12
+
+
 def test_garbled_response():
     with spawn("garbled") as F:
         with pytest.raises(EvaluationError, match="garbled"):
