@@ -278,7 +278,8 @@ class TransformedBenchmark(Objective):
     `optimizer.random_rotation`), matched by identity, so a frame is rotated
     once however often it is used. The coordinate axes (directions None),
     which every AdaDGS and `fd` trial starts from, are rotated without a
-    matmul: their W is a copy of R^T, kept the same way.
+    matmul and with no W: I R^T is R^T bit for bit, so each block copies its
+    own rows of R^T, and R is the one d x d array a trial on the axes holds.
 
     The batch is built and evaluated in blocks of whole directions. A batch
     of at most `BLOCK_ELEMENTS` (2**16) coordinates runs serially in blocks
@@ -315,14 +316,16 @@ class TransformedBenchmark(Objective):
     def _eval_lines(self, lines: Lines) -> np.ndarray:
         origin, directions, offsets = lines
         cached, W = self._rotated
-        if cached is not directions:
-            # I R^T is R^T bit for bit, so the axes need no matmul
-            W = self.rotation.T.copy() if directions is None else directions @ self.rotation.T
+        if directions is None:
+            W = None  # the axes: each block copies its rows of R^T
+        elif cached is not directions:
+            W = directions @ self.rotation.T
             # a read-only array that owns its data cannot change under the cache
-            if directions is None or (not directions.flags.writeable and directions.base is None):
+            if not directions.flags.writeable and directions.base is None:
                 self._rotated = (directions, W)
         z0 = _to_base(origin, self.rotation, self.x_opt, self._info.z_star)
-        base_fn, d, m, k = self._info.fn, self.dim, len(offsets), len(W)
+        base_fn, d, m, R_T = self._info.fn, self.dim, len(offsets), self.rotation.T
+        k = d if W is None else len(W)
         out = np.empty(k * m)
 
         def share(a, b, size=BLOCK_ELEMENTS):
@@ -331,10 +334,13 @@ class TransformedBenchmark(Objective):
             blocks = max(1, -(-(b - a) // max(1, size // max(1, m * d))))
             for i in range(blocks):
                 lo, hi = a + (b - a) * i // blocks, a + (b - a) * (i + 1) // blocks
-                Z = offsets[None, :, None] * W[lo:hi, None, :]
+                # the axes copy their rows of R^T: reading a view's strided rows
+                # slowed a d=1000 stencil by ~6%
+                rows = R_T[lo:hi].copy() if W is None else W[lo:hi]
+                Z = offsets[None, :, None] * rows[:, None, :]
                 Z += z0  # in place: a second block-sized temporary slowed d=200 by ~10%
                 out[lo * m:hi * m] = base_fn(Z.reshape(-1, d))
-                del Z  # before the next block's is made, or malloc trims and refaults the heap
+                del Z, rows  # before the next block's are made, or malloc trims and refaults the heap
 
         if k * m * d <= BLOCK_ELEMENTS:
             share(0, k, SERIAL_BLOCK_ELEMENTS)
@@ -378,13 +384,15 @@ def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform random orthogonal matrix: Q of A = QR, A standard normal,
     with Q's columns multiplied by the signs of R's diagonal.
 
-    A is factored in place in one column-major copy of it, by the LAPACK
-    routines `np.linalg.qr` runs, taken from numpy's bundled OpenBLAS with
-    the work size numpy passes: `dgeqrf` leaves R on and above the diagonal,
-    and `dorgqr` forms Q over it. `np.linalg.qr` and its gufuncs copy A, and
-    A and Q again, into buffers of their own, and make an R and a second Q
-    for the sign product; at d=1000 those set the peak memory of a trial.
-    This draw holds two d*d arrays at most. Where numpy's library lacks
+    A is factored in the buffer it is drawn in, by the LAPACK routines
+    `np.linalg.qr` runs, taken from numpy's bundled OpenBLAS with the work
+    size numpy passes. The buffer is transposed in place, so that its `.T`
+    view is A in the routines' column-major order: `dgeqrf` leaves R on and
+    above the diagonal, `dorgqr` forms Q over it, and a second transpose
+    leaves Q in C order for the sign product. `np.linalg.qr` and its gufuncs
+    copy A, and A and Q again, into buffers of their own, and make an R and
+    a second Q for the sign product; at d=1000 those set the peak memory of
+    a trial. This draw holds one d*d array. Where numpy's library lacks
     either routine, `np.linalg.qr` draws it. A test pins the result, bit
     for bit, to `np.linalg.qr`'s on both paths.
     """
@@ -394,16 +402,34 @@ def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
         Q, R = np.linalg.qr(A)
         Q *= np.sign(np.diag(R))
         return Q
-    F = np.asfortranarray(A)  # the routines' column-major A, factored in place
-    del A
+    _transpose_in_place(A)  # A.T is now the drawn matrix, column-major
     tau = np.empty(d)
     (geqrf, integer), (orgqr, _) = routines
-    _lapack(geqrf, integer, 2, F, tau)
-    signs = np.sign(F.diagonal())
-    _lapack(orgqr, integer, 3, F, tau)
-    Q = np.ascontiguousarray(F)
-    Q *= signs
-    return Q
+    _lapack(geqrf, integer, 2, A.T, tau)
+    signs = np.sign(A.diagonal())
+    _lapack(orgqr, integer, 3, A.T, tau)
+    _transpose_in_place(A)  # Q, in C order
+    A *= signs
+    return A
+
+
+# Rows and columns per block of `_transpose_in_place` (numpy 2.4.6, 2 vCPUs):
+# a d=1000 transpose in blocks of 64 or 128 took 1.3 ms, as long as numpy's
+# copy to column-major order, against 2.3 ms in blocks of 32 and 1.5 ms in
+# 256. A block of 64 is 32 KiB
+TRANSPOSE_BLOCK = 64
+
+
+def _transpose_in_place(A: np.ndarray) -> None:
+    """Transpose the square array A in place, swapping each block above the
+    diagonal with its mirror below through a copy of one block."""
+    d, b = len(A), TRANSPOSE_BLOCK
+    for i in range(0, d, b):
+        for j in range(i, d, b):
+            upper = A[i:i + b, j:j + b].copy()
+            if j != i:
+                A[i:i + b, j:j + b] = A[j:j + b, i:i + b].T
+            A[j:j + b, i:i + b] = upper.T
 
 
 _WORK_SIZES: dict = {}  # (routine name, n) -> LWORK, filled by _lapack's queries
@@ -413,7 +439,13 @@ def _lapack(routine, integer, sizes: int, F: np.ndarray, tau: np.ndarray) -> Non
     """Call the LAPACK routine (M, N[, K], A, LDA, TAU, WORK, LWORK, INFO) on
     the square column-major F, every size len(F). LWORK is max(1, N, the size
     a workspace query asks for), as numpy's gufuncs pass; the query runs on
-    the first call for each routine and size, and its answer is kept."""
+    the first call for each routine and size, and its answer is kept. Any
+    other F is a ValueError: the routines would read a C-ordered F as its
+    transpose, and a non-square one past its end."""
+    if (F.ndim != 2 or F.shape[0] != F.shape[1] or not F.flags.f_contiguous
+            or F.dtype != np.float64):
+        raise ValueError(f"expected a square column-major float64 array, got shape "
+                         f"{F.shape}, dtype {F.dtype}, f_contiguous {F.flags.f_contiguous}")
     n, info = ctypes.byref(integer(len(F))), integer()
 
     def call(work, lwork):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import os
 import subprocess
@@ -173,13 +174,19 @@ def test_rotation_orthonormal():
     assert np.max(np.abs(b.rotation @ b.rotation.T - np.eye(30))) < 1e-10
 
 
+BLOCK = benchmarks.TRANSPOSE_BLOCK
+
+
 @pytest.mark.parametrize("d,seed", [(d, seed) for d in (1, 2, 3, 7, 100, 129, 257)
-                                    for seed in (0, 1, 2)] + [(1000, 0)])
+                                    for seed in (0, 1, 2)] + [(1000, 0)]
+                         + [(d, 0) for d in (BLOCK - 1, BLOCK, BLOCK + 1)])
 def test_haar_rotation_is_the_bits_of_numpys_qr(d, seed, monkeypatch):
     # haar_rotation calls the LAPACK routines of numpy's OpenBLAS itself; this
     # pins them to the public np.linalg.qr, so a numpy that changes its QR, or
     # the work size it passes, fails here. Without the routines it falls back
-    # to np.linalg.qr, which the second draw pins
+    # to np.linalg.qr, which the second draw pins. d around the in-place
+    # transpose's block size ends the buffer in a full, a one-wide and a
+    # one-short block
     with blas_threads():
         Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
         expected = Q * np.sign(np.diag(R))
@@ -192,13 +199,22 @@ def test_haar_rotation_is_the_bits_of_numpys_qr(d, seed, monkeypatch):
         assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 1000])
+def test_the_in_place_transpose_is_a_transposed_copy(d):
+    A = np.random.default_rng(d).standard_normal((d, d))
+    expected = A.T.copy()
+    benchmarks._transpose_in_place(A)
+    assert A.flags.c_contiguous and A.tobytes() == expected.tobytes()
+
+
 def test_haar_rotation_keeps_no_copy_of_the_drawn_matrix():
-    # the drawn A, its column-major copy (factored into R and the reflectors,
-    # then into Q) and the C-ordered Q, of which two are alive at a time,
-    # plus small work arrays; np.linalg.qr's copy of A, its R and the sign
-    # product would take the peak above four d*d arrays. tracemalloc sees
-    # numpy's arrays only, not the C buffers a gufunc mallocs, so it read
-    # 2.06*d*d*8 bytes with numpy's QR gufuncs too; the test below reads RSS
+    # the drawn A, transposed in place, factored into R and the reflectors,
+    # then into Q, and transposed back: one d*d array, plus small work arrays
+    # and one transpose block; a column-major copy of A and a C-ordered Q took
+    # two, and np.linalg.qr's copy of A, its R and the sign product would take
+    # the peak above four. tracemalloc sees numpy's arrays only, not the C
+    # buffers a gufunc mallocs, so it read 2.06*d*d*8 bytes with numpy's QR
+    # gufuncs too; the tests below read RSS
     d = 400
     haar_rotation(d, np.random.default_rng(0))  # warm-up
     tracemalloc.start()
@@ -210,11 +226,11 @@ def test_haar_rotation_keeps_no_copy_of_the_drawn_matrix():
     assert peak <= 2.5 * d * d * 8
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="no /proc/self/status to read RSS from")
-def test_a_haar_rotation_raises_the_resident_peak_by_at_most_two_and_a_half_matrices():
-    # in a fresh process, whose high-water mark no earlier test has raised:
-    # everything a d=1000 draw touches, C buffers included, counts in VmHWM
+@functools.cache
+def resident_rise_over_a_draw() -> int:
+    """VmHWM's rise over one d=1000 draw, in bytes, in a fresh process, whose
+    high-water mark no earlier test has raised: everything the draw touches,
+    C buffers included, counts in VmHWM."""
     script = (
         "import numpy as np\n"
         "from adadgs.benchmarks import haar_rotation\n"
@@ -229,9 +245,26 @@ def test_a_haar_rotation_raises_the_resident_peak_by_at_most_two_and_a_half_matr
         "    haar_rotation(1000, np.random.default_rng(1))\n"
         "    print(status('VmHWM') - before)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(benchmarks.__file__).parents[1])}
-    rise = int(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+    return int(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                               capture_output=True, text=True, timeout=60).stdout)
+
+
+needs_proc_status = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                       reason="no /proc/self/status to read RSS from")
+
+
+@needs_proc_status
+def test_a_haar_rotation_raises_the_resident_peak_by_at_most_two_and_a_half_matrices():
+    rise = resident_rise_over_a_draw()
     assert rise <= 2.5 * 1000 * 1000 * 8, f"{rise / 8e6:.2f} d*d*8 bytes"
+
+
+@needs_proc_status
+def test_a_haar_rotation_raises_the_resident_peak_by_at_most_one_and_a_half_matrices():
+    # the one buffer, with OpenBLAS's and malloc's own pages, read 1.16 d*d*8
+    # bytes; a column-major copy of the drawn matrix and a C-ordered Q read 2.15
+    rise = resident_rise_over_a_draw()
+    assert rise <= 1.5 * 1000 * 1000 * 8, f"{rise / 8e6:.2f} d*d*8 bytes"
 
 
 @pytest.mark.parametrize("path", ["lapack", "fallback"])
@@ -278,11 +311,29 @@ def test_the_lapack_workspace_is_queried_once_per_routine_and_size(monkeypatch):
     assert [lwork for _, lwork in lworks].count(-1) == 2  # a new size is queried
 
 
-def test_an_adadgs_trial_on_the_axes_allocates_no_matrix_but_the_cached_w():
-    # a d=1000 trial's first stencil, on the coordinate axes: the benchmark's
-    # W, a copy of R^T, is the one d x d array it allocates; an identity
-    # frame's matrix took a second. gamma=0 and one iteration, so no frame
-    # is drawn; S=2 keeps the line search's block small
+def test_lapack_refuses_an_array_it_would_misread():
+    # the routines take any pointer: a C-ordered F would be factored as its
+    # transpose, and a non-square one read as len(F) x len(F). Each bad F
+    # starts len(F) x len(F) doubles or more before the end of its memory, so
+    # a call that went through would still stay inside memory numpy owns
+    if benchmarks.openblas_function("scipy_dgeqrf_64_") is None:
+        pytest.skip("numpy's OpenBLAS lacks the QR routines")
+    geqrf, integer = benchmarks.openblas_function("scipy_dgeqrf_64_")
+    buffer = np.random.default_rng(0).standard_normal((8, 8))
+    drawn, tau = buffer.copy(), np.zeros(8)
+    single = np.zeros(64, np.float32)[:16].reshape(4, 4, order="F")
+    for bad in (buffer[:4, :4].copy(), buffer.T[:, :3], buffer[:4, :4], single):
+        with pytest.raises(ValueError, match="square column-major float64"):
+            benchmarks._lapack(geqrf, integer, 2, bad, tau)
+    assert buffer.tobytes() == drawn.tobytes() and not tau.any()
+
+
+def test_an_adadgs_trial_on_the_axes_allocates_less_than_one_matrix():
+    # a d=1000 trial's first stencil, on the coordinate axes: each block
+    # copies its own rows of R^T, so the trial allocates no d x d array; a
+    # cached W, a copy of R^T, took its peak to 1.48 d*d*8 bytes, and an
+    # identity frame's matrix took a second. gamma=0 and one iteration, so no
+    # frame is drawn; S=2 keeps the line search's block small
     d = 1000
     b = make_benchmark("ackley", d, 0)
     x0 = np.random.default_rng(1).uniform(b.lower, b.upper)
@@ -292,8 +343,8 @@ def test_an_adadgs_trial_on_the_axes_allocates_no_matrix_but_the_cached_w():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert b._rotated[0] is None and b._rotated[1].nbytes == d * d * 8
-    assert peak < 1.75 * d * d * 8, f"{peak / (d * d * 8):.2f} d*d*8 bytes"
+    assert b._rotated == ((), None)
+    assert peak < 0.75 * d * d * 8, f"{peak / (d * d * 8):.2f} d*d*8 bytes"
 
 
 @pytest.mark.parametrize("name", ["ackley", "rastrigin", "salomon", "wavy"])
@@ -488,7 +539,7 @@ def test_new_frame_gets_new_rotated_directions():
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
-def test_identity_frame_is_rotated_without_a_matmul(name):
+def test_identity_frame_is_rotated_without_a_matmul(name, monkeypatch):
     # the premise: I R^T, and a reversed identity's P R^T, are R^T's rows bit for bit
     d = 30
     b = make_benchmark(name, d, 4)
@@ -498,25 +549,30 @@ def test_identity_frame_is_rotated_without_a_matmul(name):
     rng = np.random.default_rng(10)
     origin, offsets = rng.uniform(*DOMAINS[name], d), np.array([-0.5, 0.5, 1.0])
     values = b(Lines(origin, None, offsets))
-    cached, W = b._rotated
-    assert cached is None and W.flags.c_contiguous and W.tobytes() == R_T.tobytes()
-    assert W.base is None and not np.shares_memory(W, b.rotation)
+    assert b._rotated == ((), None)  # the axes keep no W
     # an explicit identity is a writable array like any other: the matmul
     # path, uncached, with the axes' values bit for bit
     assert np.array_equal(b(Lines(origin, np.eye(d), offsets)), values)
-    assert b._rotated[0] is None and b._rotated[1] is W
     # a reversed identity is no identity, so it takes the matmul path
     reversed_values = b(Lines(origin, np.eye(d)[::-1], offsets))
     assert np.array_equal(values, reversed_values.reshape(d, -1)[::-1].ravel())
-    # no matmul makes the axes' W: a NaN in R stays in its place in a copy of
-    # R^T, where I R^T would spread it over a row (0 * NaN is NaN)
+    assert b._rotated == ((), None)
+    # no matmul rotates the axes: a NaN at R[1, 2] stays in direction 2's row
+    # of R^T, where I R^T would spread it over every direction (0 * NaN is
+    # NaN). z0 = R(origin - x_opt) would carry it to every point, so here z0
+    # is made from the NaN-free R
     R = b.rotation.copy()
     R[1, 2] = np.nan
     c = TransformedBenchmark(name, R, b.x_opt)
+    to_base = benchmarks._to_base
+    monkeypatch.setattr(benchmarks, "_to_base",
+                        lambda X, rotation, *args: to_base(X, b.rotation, *args))
     with np.errstate(all="ignore"):
-        c(Lines(origin, None, offsets))
+        nan_values = c(Lines(origin, None, offsets)).reshape(d, -1)
         assert np.isnan(np.eye(d) @ R.T).sum() == d
-    assert c._rotated[1].tobytes() == R.T.copy().tobytes()
+    finite = np.isfinite(nan_values).all(axis=1)
+    assert not finite[2] and finite.sum() == d - 1
+    assert np.array_equal(nan_values[finite], values.reshape(d, -1)[finite])
 
 
 def test_writable_directions_are_never_cached():
@@ -538,10 +594,11 @@ def test_writable_directions_are_never_cached():
 
 
 def test_benchmark_is_freed_without_the_cycle_collector():
-    # a reference cycle would keep the rotation and the axes' rotated
+    # a reference cycle would keep the rotation and a frame's rotated
     # directions (2 d x d arrays) alive until the collector runs
     b = make_benchmark("ackley", 6, 0)
     b(Lines(np.zeros(6), None, np.array([-1.0, 1.0])))
+    b(Lines(np.zeros(6), random_rotation(6, np.random.default_rng(1)), np.array([-1.0, 1.0])))
     ref = weakref.ref(b)
     gc.disable()
     try:
