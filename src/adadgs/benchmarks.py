@@ -43,8 +43,13 @@ class Lines(NamedTuple):
         return (self.origin + steps).reshape(-1, d)
 
     def point(self, k: int) -> np.ndarray:
-        """Row k of `points`, bit for bit, without building the others."""
+        """Row k of `points`, bit for bit, without building the others; an
+        IndexError unless 0 <= k < len(points), on the axes as elsewhere."""
+        rows = len(self.origin if self.directions is None else self.directions)
         i, j = divmod(k, len(self.offsets))
+        if not 0 <= i < rows:
+            raise IndexError(f"point {k} of a batch of {rows} directions x "
+                             f"{len(self.offsets)} offsets")
         if self.directions is not None:
             return self.origin + self.offsets[j] * self.directions[i]
         # axis i as a mask: an offset times True or False is offset * 1.0 or * 0.0
@@ -243,22 +248,14 @@ def eval_threads() -> int:
         return os.cpu_count() or 1
 
 
-_POOL: tuple = (None, 0, None)  # (pid, workers, ThreadPoolExecutor)
-
-
-def _eval_pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of `workers` evaluation threads. It is made on first
-    use, and made again in a forked child, whose copy of the parent's pool has
-    no threads, or for another count, when the replaced pool is shut down so
-    that its threads exit."""
-    global _POOL
-    pid, count, pool = _POOL
-    if (pid, count) != (os.getpid(), workers):
-        if pid == os.getpid():
-            pool.shutdown()
-        pool = ThreadPoolExecutor(workers, thread_name_prefix="adadgs-eval")
-        _POOL = (os.getpid(), workers, pool)
-    return pool
+@functools.cache
+def _eval_pool(pid: int) -> ThreadPoolExecutor:
+    """Process `pid`'s pool of `eval_threads()` - 1 evaluation threads, made
+    on first use; called as `_eval_pool(os.getpid())`, so a forked child,
+    whose copy of its parent's pool has no threads, makes its own. A later
+    `eval_threads()` changes the share count, not the pool; every share is
+    row-wise, so a pool of another size gives the same values."""
+    return ThreadPoolExecutor(eval_threads() - 1, thread_name_prefix="adadgs-eval")
 
 
 def _to_base(X: np.ndarray, rotation, x_opt, z_star: float) -> np.ndarray:
@@ -281,17 +278,16 @@ class TransformedBenchmark(Objective):
     matmul and with no W: I R^T is R^T bit for bit, so each block copies its
     own rows of R^T, and R is the one d x d array a trial on the axes holds.
 
-    The batch is built and evaluated in blocks of whole directions. A batch
-    of at most `BLOCK_ELEMENTS` (2**16) coordinates runs serially in blocks
-    of at most `SERIAL_BLOCK_ELEMENTS` (2**14, 128 KiB), whose memory malloc
-    reuses. A larger batch is split into n = min(k, `eval_threads()`)
-    contiguous shares of whole directions, differing by at most one
-    direction, each walked in blocks of at most `BLOCK_ELEMENTS` (numpy
-    releases the GIL). The caller evaluates the first share and the
-    process's pool of `eval_threads()` - 1 threads the others. The pool lives
-    as long as the process, so its threads' malloc arenas are reused from
-    call to call; a forked process, or another thread count, makes a new one.
-    A block is at least one direction, so a direction of more coordinates
+    The batch is built and evaluated in n contiguous shares of whole
+    directions, differing by at most one direction, each walked in blocks of
+    whole directions. A batch of more than `BLOCK_ELEMENTS` (2**16)
+    coordinates is threaded: n = min(k, `eval_threads()`), in blocks of at
+    most `BLOCK_ELEMENTS` (numpy releases the GIL). A smaller one is a single
+    share, in blocks of at most `SERIAL_BLOCK_ELEMENTS` (2**14, 128 KiB),
+    whose memory malloc reuses. The caller evaluates the first share and the
+    process's pool (`_eval_pool`) the others. The pool lives as long as the
+    process, so its threads' malloc arenas are reused from call to call. A
+    block is at least one direction, so a direction of more coordinates
     than the block size is a block of its own: a `paper-1000d` line search
     (one direction, 200 offsets) from d=328 on is one share and one block
     of 200*d coordinates, on the calling thread. Every base function is
@@ -328,7 +324,11 @@ class TransformedBenchmark(Objective):
         k = d if W is None else len(W)
         out = np.empty(k * m)
 
-        def share(a, b, size=BLOCK_ELEMENTS):
+        threaded = k * m * d > BLOCK_ELEMENTS
+        size = BLOCK_ELEMENTS if threaded else SERIAL_BLOCK_ELEMENTS
+        n = min(k, eval_threads()) if threaded else 1
+
+        def share(a, b):
             # directions a..b in blocks of at most size coordinates; blocks and
             # shares are whole directions, their sizes differing by at most one
             blocks = max(1, -(-(b - a) // max(1, size // max(1, m * d))))
@@ -342,16 +342,12 @@ class TransformedBenchmark(Objective):
                 out[lo * m:hi * m] = base_fn(Z.reshape(-1, d))
                 del Z, rows  # before the next block's are made, or malloc trims and refaults the heap
 
-        if k * m * d <= BLOCK_ELEMENTS:
-            share(0, k, SERIAL_BLOCK_ELEMENTS)
-            return out
-        # one share per thread: the caller evaluates the first and the pool the
-        # rest, each of those in a copy of the caller's context, so that
-        # np.errstate applies in the pool's threads too
-        cpus = eval_threads()
-        n = min(k, cpus)
-        futures = [_eval_pool(cpus - 1).submit(contextvars.copy_context().run, share,
-                                               k * i // n, k * (i + 1) // n)
+        # the caller evaluates the first share and the pool the rest, each of
+        # those in a copy of the caller's context, so that np.errstate applies
+        # in the pool's threads too. A serial batch submits nothing; its
+        # wait([]) took 1.7 us (2-vCPU Xeon), too little for a branch
+        futures = [_eval_pool(os.getpid()).submit(contextvars.copy_context().run, share,
+                                                  k * i // n, k * (i + 1) // n)
                    for i in range(1, n)]
         try:
             share(0, k // n)
@@ -394,8 +390,10 @@ def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     a second Q for the sign product; at d=1000 those set the peak memory of
     a trial. This draw holds one d*d array. Where numpy's library lacks
     either routine, `np.linalg.qr` draws it. A test pins the result, bit
-    for bit, to `np.linalg.qr`'s on both paths.
+    for bit, to `np.linalg.qr`'s on both paths. A d below 1 is a ValueError
+    on both.
     """
+    check_count("d", d, 1)
     A = rng.standard_normal((d, d))
     routines = [openblas_function(name) for name in ("scipy_dgeqrf_64_", "scipy_dorgqr_64_")]
     if None in routines:

@@ -44,14 +44,14 @@ class AdaDgsConfig:
     coordinate axes; a reset draws a random frame. The next radius is the mean
     of the current one and the distance the line search moved.
 
-    `validate` checks the counts (M, S, reset_interval, T_max, budget) with
-    `check_count`, a set contraction to be a real number in (0, 1), gamma to
-    be a real number >= 0, and sigma0_scale, L_max, L_min and sigma0 with
-    `check_positive` (positive and finite). `resolved` checks the settings it
-    computes with (M, contraction, sigma0_scale, and L_max and S where set)
-    before it uses them, so each error names its setting. In an
-    `ExperimentSpec` the spec's own budget and seed set the run's, and
-    this config must leave both None.
+    `resolved` checks each setting once, as it first computes with it, so
+    each error names its setting: M, then a set contraction (a real number
+    in (0, 1)), sigma0_scale, L_max, S, L_min (below L_max), sigma0, gamma
+    (a real number >= 0), reset_interval, T_max and budget. The counts go
+    through `check_count`, the radii and sigma0_scale through
+    `check_positive` (positive and finite). In an `ExperimentSpec` the
+    spec's own budget and seed set the run's, and this config must leave
+    both None.
     """
 
     M: int = 5
@@ -68,24 +68,6 @@ class AdaDgsConfig:
     seed: int | None = None
 
     def resolved(self, objective: Objective) -> "AdaDgsConfig":
-        self._check_given()
-        d = objective.dim
-        L_max = self.L_max if self.L_max is not None else objective.domain_diagonal
-        S = self.S if self.S is not None else max(12, round(0.05 * self.M * d))
-        if self.L_min is not None:
-            L_min = self.L_min
-        elif self.contraction is not None:
-            L_min = L_max * self.contraction ** (S - 1)
-        else:
-            L_min = 0.005 * L_max
-        sigma0 = self.sigma0 if self.sigma0 is not None \
-            else self.sigma0_scale * objective.domain_width
-        cfg = dataclasses.replace(self, L_max=L_max, L_min=L_min, S=S, sigma0=sigma0)
-        cfg.validate()
-        return cfg
-
-    def _check_given(self) -> None:
-        """Check the settings `resolved` computes with, where they are set."""
         if self.M == 1:
             raise ValueError(f"M must be in 2..{MAX_ORDER} (the 1-point rule's only node "
                              f"is 0, so it samples nothing), got {self.M!r}")
@@ -95,24 +77,28 @@ class AdaDgsConfig:
             if not 0 < self.contraction < 1:
                 raise ValueError(f"contraction must be in (0, 1), got {self.contraction}")
         check_positive("sigma0_scale", self.sigma0_scale)
-        if self.L_max is not None:
-            check_positive("L_max", self.L_max)
-        if self.S is not None:
-            check_count("S", self.S, 2)
-
-    def validate(self) -> None:
-        self._check_given()
-        check_positive("L_max", self.L_max)
-        check_positive("L_min", self.L_min)
-        if not self.L_min < self.L_max:
-            raise ValueError(f"need L_min < L_max, got {self.L_min}, {self.L_max}")
-        check_count("S", self.S, 2)
-        check_positive("sigma0", self.sigma0)
+        L_max = self.L_max if self.L_max is not None else objective.domain_diagonal
+        check_positive("L_max", L_max)
+        S = self.S if self.S is not None else max(12, round(0.05 * self.M * objective.dim))
+        check_count("S", S, 2)
+        if self.L_min is not None:
+            L_min = self.L_min
+        elif self.contraction is not None:
+            L_min = L_max * self.contraction ** (S - 1)
+        else:
+            L_min = 0.005 * L_max
+        check_positive("L_min", L_min)
+        if not L_min < L_max:
+            raise ValueError(f"need L_min < L_max, got {L_min}, {L_max}")
+        sigma0 = self.sigma0 if self.sigma0 is not None \
+            else self.sigma0_scale * objective.domain_width
+        check_positive("sigma0", sigma0)
         check_real("gamma", self.gamma)
         if not self.gamma >= 0:  # NaN included: it would turn the stall test off
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         check_count("reset_interval", self.reset_interval, 0)
         check_caps(self.T_max, self.budget)
+        return dataclasses.replace(self, L_max=L_max, L_min=L_min, S=S, sigma0=sigma0)
 
     def stencil_size(self, d: int) -> int:
         return (self.M - self.M % 2) * d  # odd M: the zero node is skipped
@@ -225,7 +211,6 @@ def sigma_update(sigma_prev: float, step: float) -> float:
 def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random orthonormal frame, row i its direction i. It is
     read-only and owns its data, so a benchmark may cache its rotation."""
-    check_count("d", d, 1)
     frame = haar_rotation(d, rng)
     frame.flags.writeable = False
     return frame

@@ -199,6 +199,19 @@ def test_haar_rotation_is_the_bits_of_numpys_qr(d, seed, monkeypatch):
         assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("path", ["lapack", "fallback"])
+def test_a_haar_rotation_of_no_dimension_is_a_value_error_on_both_paths(path, monkeypatch,
+                                                                        capfd):
+    # d=0 made LAPACK print a complaint to stderr and raise LinAlgError, and
+    # np.linalg.qr return a (0, 0) Q; d is now checked before either runs
+    if path == "fallback":
+        monkeypatch.setattr(benchmarks, "openblas_function", lambda name: None)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            haar_rotation(d, np.random.default_rng(0))
+    assert capfd.readouterr().err == ""
+
+
 @pytest.mark.parametrize("d", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 1000])
 def test_the_in_place_transpose_is_a_transposed_copy(d):
     A = np.random.default_rng(d).standard_normal((d, d))
@@ -465,6 +478,19 @@ def test_axes_points_are_the_explicit_eyes_bit_for_bit():
         assert all(lines.point(k).tobytes() == points[k].tobytes() for k in range(len(points)))
 
 
+def test_a_point_outside_the_batch_is_an_index_error():
+    # on the axes, point(6) and point(-1) of 3 x 2 points returned the
+    # origin, which is no row of points; explicit directions counted -1 from
+    # the end
+    rng = np.random.default_rng(12)
+    axes, eye = axes_and_eye(3, np.array([1.0, -1.0]), rng)
+    for lines in (axes, eye, Lines(axes.origin, rng.standard_normal((2, 3)), axes.offsets)):
+        rows = len(lines.points)
+        for k in (-1, -rows, rows, rows + 1, 100):
+            with pytest.raises(IndexError):
+                lines.point(k)
+
+
 def test_an_objective_counts_a_batch_along_the_axes_as_d_times_m():
     seen = []
     F = Objective(lambda X: seen.append(X.copy()) or np.sum(X**2, axis=1), 5, (-1.0, 1.0))
@@ -683,10 +709,22 @@ def test_a_small_batch_reaches_the_base_function_in_128_kib_blocks(monkeypatch):
     np.testing.assert_array_equal(blocked, whole)
 
 
+@pytest.fixture
+def own_pool(monkeypatch):
+    """Give the test a process pool of its own, made by `_eval_pool` on first
+    use with the `eval_threads()` of that moment, and shut down after it."""
+    pool_of = functools.cache(benchmarks._eval_pool.__wrapped__)
+    monkeypatch.setattr(benchmarks, "_eval_pool", pool_of)
+    yield
+    if pool_of.cache_info().currsize:
+        pool_of(os.getpid()).shutdown()
+
+
 def spy_on_submissions(monkeypatch, threads):
     """The (start, stop) directions of each share submitted to the process's
-    pool of `threads` - 1 threads, which is made if there is none."""
-    pool = benchmarks._eval_pool(threads - 1)
+    own pool, which is made with `threads` - 1 threads if there is none."""
+    monkeypatch.setattr(benchmarks, "eval_threads", lambda: threads)
+    pool = benchmarks._eval_pool(os.getpid())
     shares = []
 
     def submit(run, share, a, b):
@@ -729,7 +767,7 @@ def test_threaded_blocks_are_balanced_over_the_threads(threads, rows, monkeypatc
     assert sorted(stop - start for start, stop in shares) == rows
 
 
-def test_a_batch_of_few_directions_keeps_the_pool(monkeypatch):
+def test_a_batch_of_few_directions_keeps_the_pool(monkeypatch, own_pool):
     # a threaded call submits one future per share but the caller's; a batch
     # of fewer directions than threads makes fewer shares on the same pool
     # of eval_threads() - 1 threads, neither replaced nor resized
@@ -738,16 +776,16 @@ def test_a_batch_of_few_directions_keeps_the_pool(monkeypatch):
     few = Lines(stencil.origin, stencil.directions[:2], stencil.offsets)
     expected = b(few)
     submitted = spy_on_submissions(monkeypatch, 4)
-    pool = benchmarks._POOL[2]
+    pool = benchmarks._eval_pool(os.getpid())
     blocked_values(b, stencil, monkeypatch, 1, 4)
     assert len(submitted) == 3
     submitted.clear()
     np.testing.assert_array_equal(blocked_values(b, few, monkeypatch, 1, 4), expected)
     assert submitted == [(1, 2)]
-    assert benchmarks._POOL[2] is pool and pool._max_workers == 3
+    assert benchmarks._eval_pool(os.getpid()) is pool and pool._max_workers == 3
 
 
-def test_threaded_calls_share_the_pools_threads_and_the_caller(monkeypatch):
+def test_threaded_calls_share_the_pools_threads_and_the_caller(monkeypatch, own_pool):
     # the pool lives as long as the process, so the same worker evaluates
     # blocks of both calls, and the caller evaluates its share itself
     # instead of waiting for a pool made for the call
@@ -767,19 +805,19 @@ def test_threaded_calls_share_the_pools_threads_and_the_caller(monkeypatch):
     assert len(first) == 2 and threading.current_thread() in first
 
 
-def test_another_thread_count_replaces_the_pool(monkeypatch):
-    # the replaced pool is shut down: its threads exit, and the thread count
-    # returns to what it was with the first pool
+def test_another_thread_count_keeps_the_pool(monkeypatch, own_pool):
+    # the pool is made once per process, with the eval_threads() of its first
+    # use; a later count changes the shares, not the pool, and every share is
+    # row-wise, so the values are the same and no thread starts or ends
     b = make_benchmark("ackley", 13, 4)
     stencil, _ = stencil_and_line_search_batches(b, np.random.default_rng(11))
-    blocked_values(b, stencil, monkeypatch, 1, 2)
-    before = set(threading.enumerate())
-    blocked_values(b, stencil, monkeypatch, 1, 4)
-    made = set(threading.enumerate()) - before
-    assert made
-    blocked_values(b, stencil, monkeypatch, 1, 2)
-    assert not any(thread.is_alive() for thread in made)
-    assert threading.active_count() == len(before)
+    expected = blocked_values(b, stencil, monkeypatch, 1, 2)
+    pool, before = benchmarks._eval_pool(os.getpid()), set(threading.enumerate())
+    for threads in (4, 3, 2):
+        np.testing.assert_array_equal(blocked_values(b, stencil, monkeypatch, 1, threads),
+                                      expected)
+    assert benchmarks._eval_pool(os.getpid()) is pool and pool._max_workers == 1
+    assert set(threading.enumerate()) == before
 
 
 def test_concurrent_callers_share_the_pool(monkeypatch):
