@@ -278,21 +278,25 @@ class TransformedBenchmark(Objective):
     matmul and with no W: I R^T is R^T bit for bit, so each block copies its
     own rows of R^T, and R is the one d x d array a trial on the axes holds.
 
-    The batch is built and evaluated in n contiguous shares of whole
-    directions, differing by at most one direction, each walked in blocks of
-    whole directions. A batch of more than `BLOCK_ELEMENTS` (2**16)
-    coordinates is threaded: n = min(k, `eval_threads()`), in blocks of at
-    most `BLOCK_ELEMENTS` (numpy releases the GIL). A smaller one is a single
-    share, in blocks of at most `SERIAL_BLOCK_ELEMENTS` (2**14, 128 KiB),
-    whose memory malloc reuses. The caller evaluates the first share and the
-    process's pool (`_eval_pool`) the others. The pool lives as long as the
-    process, so its threads' malloc arenas are reused from call to call. A
-    block is at least one direction, so a direction of more coordinates
-    than the block size is a block of its own: a `paper-1000d` line search
-    (one direction, 200 offsets) from d=328 on is one share and one block
-    of 200*d coordinates, on the calling thread. Every base function is
-    row-wise, so the values do not depend on the block size or the thread
-    count.
+    A batch of more than `BLOCK_ELEMENTS` (2**16) coordinates is threaded,
+    in blocks of at most `BLOCK_ELEMENTS` (numpy releases the GIL); a
+    smaller one is serial, in blocks of at most `SERIAL_BLOCK_ELEMENTS`
+    (2**14, 128 KiB), whose memory malloc reuses. A direction of more
+    coordinates than the block size is cut into c = ceil(m / (size // d))
+    runs of consecutive offsets (one offset each where d alone is more),
+    their sizes differing by at most one offset; else c = 1. The work units
+    are the k*c (direction, run) pairs, direction-major like the values.
+    They are split into n contiguous shares, differing by at most one unit:
+    n = min(k*c, `eval_threads()`) when threaded, else 1. Each share is
+    walked in blocks of whole directions when c = 1, else of one run each.
+    The caller evaluates the first share and the process's pool
+    (`_eval_pool`) the others. The pool lives as long as the process, so
+    its threads' malloc arenas are reused from call to call. A
+    `paper-1000d` line search at d=1000 (one direction, 200 offsets) is 4
+    runs of 50 offsets, two per thread on 2 CPUs: one call's temporaries
+    peak at 0.15 d*d*8 bytes on one thread, against 0.60 as one block.
+    Every base function is row-wise, so the values do not depend on the
+    block size, the runs or the thread count.
     """
 
     def __init__(self, name: str, rotation: np.ndarray, x_opt: np.ndarray):
@@ -326,20 +330,29 @@ class TransformedBenchmark(Objective):
 
         threaded = k * m * d > BLOCK_ELEMENTS
         size = BLOCK_ELEMENTS if threaded else SERIAL_BLOCK_ELEMENTS
-        n = min(k, eval_threads()) if threaded else 1
+        # a direction of more than size coordinates is cut into c runs of
+        # consecutive offsets, each of at most size coordinates, or one point
+        # where d is more; the units are the k*c (direction, run) pairs
+        c = max(1, -(-m // max(1, size // d)))
+        units = k * c
+        n = min(units, eval_threads()) if threaded else 1
 
         def share(a, b):
-            # directions a..b in blocks of at most size coordinates; blocks and
-            # shares are whole directions, their sizes differing by at most one
-            blocks = max(1, -(-(b - a) // max(1, size // max(1, m * d))))
+            # units a..b in blocks of at most size coordinates: whole directions
+            # when c = 1, else one run each; blocks and shares are whole units,
+            # their sizes differing by at most one
+            blocks = -(-(b - a) // max(1, size // max(1, m * d)))
             for i in range(blocks):
                 lo, hi = a + (b - a) * i // blocks, a + (b - a) * (i + 1) // blocks
+                # directions lo//c..ceil(hi/c), offsets from lo's run to (hi-1)'s
+                first, stop = lo // c, -(-hi // c)
+                j0, j1 = m * (lo % c) // c, m * ((hi - 1) % c + 1) // c
                 # the axes copy their rows of R^T: reading a view's strided rows
                 # slowed a d=1000 stencil by ~6%
-                rows = R_T[lo:hi].copy() if W is None else W[lo:hi]
-                Z = offsets[None, :, None] * rows[:, None, :]
+                rows = R_T[first:stop].copy() if W is None else W[first:stop]
+                Z = offsets[None, j0:j1, None] * rows[:, None, :]
                 Z += z0  # in place: a second block-sized temporary slowed d=200 by ~10%
-                out[lo * m:hi * m] = base_fn(Z.reshape(-1, d))
+                out[first * m + j0:(stop - 1) * m + j1] = base_fn(Z.reshape(-1, d))
                 del Z, rows  # before the next block's are made, or malloc trims and refaults the heap
 
         # the caller evaluates the first share and the pool the rest, each of
@@ -347,10 +360,10 @@ class TransformedBenchmark(Objective):
         # in the pool's threads too. A serial batch submits nothing; its
         # wait([]) took 1.7 us (2-vCPU Xeon), too little for a branch
         futures = [_eval_pool(os.getpid()).submit(contextvars.copy_context().run, share,
-                                                  k * i // n, k * (i + 1) // n)
+                                                  units * i // n, units * (i + 1) // n)
                    for i in range(1, n)]
         try:
-            share(0, k // n)
+            share(0, units // n)
         finally:
             wait(futures)  # no share writes to out once this call has ended
         for future in futures:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -637,12 +638,14 @@ def test_benchmark_is_freed_without_the_cycle_collector():
 # --- blocked, threaded evaluation of Lines batches ---------------------------
 
 
-def blocked_values(b, lines, monkeypatch, rows, threads):
-    """b(lines) in blocks of `rows` directions (None: one serial block),
-    spread over `threads` threads, or serially when `threads` is None."""
-    per_direction = len(lines.offsets) * b.dim
-    size = 2**62 if rows is None else rows * per_direction
-    serial = threads is None or rows is None
+def blocked_values(b, lines, monkeypatch, rows, threads, points=None):
+    """b(lines) in blocks of `rows` directions, or of `points` points where
+    given, which may be fewer than one direction's (neither: one serial
+    block), spread over `threads` threads, or serially when `threads` is None."""
+    if points is None and rows is not None:
+        points = rows * len(lines.offsets)
+    size = 2**62 if points is None else points * b.dim
+    serial = threads is None or points is None
     monkeypatch.setattr(benchmarks, "BLOCK_ELEMENTS", 2**62 if serial else size)
     monkeypatch.setattr(benchmarks, "SERIAL_BLOCK_ELEMENTS", size)
     monkeypatch.setattr(benchmarks, "eval_threads", lambda: threads or 1)
@@ -667,15 +670,27 @@ def spy_on_base_function(monkeypatch, name, record=lambda Z: Z.shape):
 def test_blocked_evaluation_is_bit_identical(name, monkeypatch):
     # 13 directions: one serial block, and blocks of at most 1 and 5 rows,
     # serial and threaded, 5 rows giving blocks of unequal sizes; a benchmark
-    # is row-wise, so neither the blocks nor the threads may move a bit
+    # is row-wise, so neither the blocks nor the threads may move a bit.
+    # Blocks of fewer points than a direction's cut it into runs of offsets:
+    # the line search (1 direction x 20 offsets) in runs of 6-7 offsets and
+    # of 1, and the stencil in runs of 1
     rng = np.random.default_rng(11)
     b = make_benchmark(name, 13, 4)
-    stencil, _ = stencil_and_line_search_batches(b, rng)
+    stencil, search = stencil_and_line_search_batches(b, rng)
     whole = blocked_values(b, stencil, monkeypatch, None, 1)
     assert whole.shape == (13 * 4,)
     for rows, threads in ((1, None), (5, None), (1, 1), (1, 3), (5, 2), (5, 4)):
         np.testing.assert_array_equal(
             blocked_values(b, stencil, monkeypatch, rows, threads), whole)
+    for threads in (None, 1, 2, 3):
+        np.testing.assert_array_equal(
+            blocked_values(b, stencil, monkeypatch, None, threads, points=1), whole)
+    whole = blocked_values(b, search, monkeypatch, None, 1)
+    assert whole.shape == (20,)
+    for points in (7, 1):
+        for threads in (None, 1, 2, 3):
+            np.testing.assert_array_equal(
+                blocked_values(b, search, monkeypatch, None, threads, points=points), whole)
 
 
 def test_threaded_blocks_keep_the_callers_errstate(monkeypatch):
@@ -707,6 +722,69 @@ def test_a_small_batch_reaches_the_base_function_in_128_kib_blocks(monkeypatch):
     whole = b(stencil)
     assert shapes == [(400, 100)]
     np.testing.assert_array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_a_batch_of_no_offsets_or_no_directions_is_empty(name, monkeypatch):
+    # along the axes and along explicit directions, in one block and in
+    # blocks of one direction, serial and on 2 threads: shape (0,), no
+    # evaluation counted and no warning
+    b = make_benchmark(name, 5, 0)
+    origin = np.random.default_rng(14).uniform(b.lower, b.upper)
+    batches = [Lines(origin, None, np.empty(0)), Lines(origin, np.eye(5), np.empty(0)),
+               Lines(origin, np.empty((0, 5)), np.ones(3)),
+               Lines(origin, np.empty((0, 5)), np.empty(0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lines in batches:
+            for rows, threads in ((None, None), (1, None), (1, 2)):
+                assert blocked_values(b, lines, monkeypatch, rows, threads).shape == (0,)
+    assert b.evals == 0
+
+
+def test_a_point_wider_than_a_block_is_a_block_of_its_own(monkeypatch):
+    # d=13 against blocks of 8 coordinates: each point reaches the base
+    # function alone, serially and threaded, with the bits of one block
+    shapes = spy_on_base_function(monkeypatch, "rastrigin")
+    b = make_benchmark("rastrigin", 13, 4)
+    X = np.random.default_rng(15).uniform(b.lower, b.upper, (5, 13))
+    whole = blocked_values(b, rows(X), monkeypatch, None, None)
+    assert shapes == [(5, 13)]
+    monkeypatch.setattr(benchmarks, "SERIAL_BLOCK_ELEMENTS", 8)
+    for block, threads in ((2**62, 1), (8, 2)):
+        shapes.clear()
+        monkeypatch.setattr(benchmarks, "BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(benchmarks, "eval_threads", lambda: threads)
+        np.testing.assert_array_equal(b(rows(X)), whole)
+        assert shapes == [(1, 13)] * 5
+
+
+def test_a_paper_1000d_line_search_is_cut_into_runs_of_offsets(monkeypatch):
+    # one direction and paper-1000d's S=200 offsets at d=1000 is 200*d
+    # coordinates; as one block on the calling thread its temporaries peaked
+    # at 0.60 d*d*8 bytes under tracemalloc. Cut into runs of at most
+    # BLOCK_ELEMENTS coordinates it peaks at 0.15, and on 2 threads the pool
+    # evaluates the second half of the runs
+    d = 1000
+    sizes = spy_on_base_function(monkeypatch, "ackley", lambda Z: Z.size)
+    b = make_benchmark("ackley", d, 0)
+    rng = np.random.default_rng(16)
+    ghat = rng.standard_normal(d)
+    ghat /= np.linalg.norm(ghat)
+    search = Lines(rng.uniform(b.lower, b.upper), ghat[None, :], -np.geomspace(50.0, 0.1, 200))
+    monkeypatch.setattr(benchmarks, "eval_threads", lambda: 1)
+    tracemalloc.start()
+    try:
+        values = b(search)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * d * d * 8, f"{peak / (d * d * 8):.2f} d*d*8 bytes"
+    assert sum(sizes) == 200 * d and max(sizes) <= 2**16
+    runs = len(sizes)
+    submitted = spy_on_submissions(monkeypatch, 2)
+    np.testing.assert_array_equal(b(search), values)
+    assert submitted == [(runs // 2, runs)]
 
 
 @pytest.fixture
@@ -765,6 +843,30 @@ def test_threaded_blocks_are_balanced_over_the_threads(threads, rows, monkeypatc
     assert [start for start, _ in shares[1:]] == [stop for _, stop in shares[:-1]]
     assert shares[-1][1] == d and {stop for _, stop in shares} <= set(edges)
     assert sorted(stop - start for start, stop in shares) == rows
+    # one direction of 20 offsets in blocks of at most 3 points: one block per
+    # run of 2 or 3 offsets, the runs tiling the offsets in order, and one
+    # contiguous share of whole runs per thread, the caller's first, the
+    # sizes differing by at most one run
+    _, search = stencil_and_line_search_batches(b, np.random.default_rng(11))
+    blocks.clear()
+    submitted.clear()
+    blocked_values(b, search, monkeypatch, None, threads, points=3)
+    points, runs = search.points, []
+    for by_caller, Z in blocks:
+        assert len(Z) in (2, 3)
+        start = int(np.flatnonzero((points == Z[0]).all(axis=1))[0])
+        np.testing.assert_array_equal(Z, points[start:start + len(Z)])
+        runs.append((start, start + len(Z), by_caller))
+    runs.sort()
+    assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
+    assert runs[-1][1] == 20
+    first = sum(by_caller for _, _, by_caller in runs)
+    assert all(by_caller == (i < first) for i, (_, _, by_caller) in enumerate(runs))
+    shares = [(0, first)] + sorted(submitted)
+    assert [start for start, _ in shares[1:]] == [stop for _, stop in shares[:-1]]
+    assert shares[-1][1] == len(runs) and len(shares) == threads
+    assert max(stop - start for start, stop in shares) - min(
+        stop - start for start, stop in shares) <= 1
 
 
 def test_a_batch_of_few_directions_keeps_the_pool(monkeypatch, own_pool):
