@@ -26,11 +26,12 @@ from .optimizer import Iterate, check_caps, drive
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """A baseline's settings. `resolved(objective, optimizer)` gives each None
-    one a default from the domain width w and the dimension d (the source
-    text specifies none), rejects a population for all but es_bpop, and
-    calls `validate`: learning_rate and sigma_or_h by `check_positive`,
-    population by `check_count` (>= 2, and even), the caps as AdaDGS's."""
+    """A baseline's settings. `resolved(objective, optimizer)` rejects a
+    population for all but es_bpop, gives each None one a default from the
+    domain width w and the dimension d (the source text specifies none), and
+    checks each setting as it resolves it: learning_rate and sigma_or_h by
+    `check_positive`, population by `check_count` (>= 2, and even), the caps
+    as AdaDGS's."""
 
     learning_rate: float | None = None
     sigma_or_h: float | None = None  # GS radius for es_bpop, difference step for nesterov/fd
@@ -49,17 +50,14 @@ class BaselineConfig:
         cfg = dataclasses.replace(self, **{
             name: value for name, value in zip(("learning_rate", "sigma_or_h", "population"),
                                                defaults) if getattr(self, name) is None})
-        cfg.validate()
+        check_positive("learning_rate", cfg.learning_rate)
+        check_positive("sigma_or_h", cfg.sigma_or_h)
+        if cfg.population is not None:
+            check_count("population", cfg.population, 2)
+            if cfg.population % 2:
+                raise ValueError(f"population must be even, got {cfg.population}")
+        check_caps(cfg.T_max, cfg.budget)
         return cfg
-
-    def validate(self) -> None:
-        check_positive("learning_rate", self.learning_rate)
-        check_positive("sigma_or_h", self.sigma_or_h)
-        if self.population is not None:
-            check_count("population", self.population, 2)
-            if self.population % 2:
-                raise ValueError(f"population must be even, got {self.population}")
-        check_caps(self.T_max, self.budget)
 
 
 def _descend(F, x0, cfg: BaselineConfig, cost: int, estimate):

@@ -315,13 +315,15 @@ class TransformedBenchmark(Objective):
 
     def _eval_lines(self, lines: Lines) -> np.ndarray:
         origin, directions, offsets = lines
-        cached, W = self._rotated
+        cached, W = self._rotated  # one read: another caller may replace the pair
         if directions is None:
             W = None  # the axes: each block copies its rows of R^T
         elif cached is not directions:
-            W = directions @ self.rotation.T
             # a read-only array that owns its data cannot change under the cache
-            if not directions.flags.writeable and directions.base is None:
+            if cache := not directions.flags.writeable and directions.base is None:
+                cached, W = self._rotated = ((), None)  # the old pair dies before the new W
+            W = directions @ self.rotation.T
+            if cache:
                 self._rotated = (directions, W)
         z0 = _to_base(origin, self.rotation, self.x_opt, self._info.z_star)
         base_fn, d, m, R_T = self._info.fn, self.dim, len(offsets), self.rotation.T

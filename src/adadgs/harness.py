@@ -7,8 +7,8 @@ CSV that `parse_trace_csv` reads back. A summary aggregates best-loss
 statistics across the traces on a fixed evaluation-count grid.
 
 A spec's optimizer reads its own config (`adadgs` or `baseline`) and the
-other stays at its default. The config resolves itself against the domain:
-for `manifest.json` in `ExperimentSpec.validate`, in each optimizer for a trial.
+other stays at its default. `ExperimentSpec.validate` resolves it once, with
+the spec's budget: `manifest.json` records it, and each trial runs it.
 
 A trial runs with numpy's BLAS on one thread (`blas_threads`), so its CSV
 does not depend on the machine's BLAS thread count; a large stencil is
@@ -152,15 +152,14 @@ def blas_threads():
 
 def run_trial(spec: ExperimentSpec, trial: int) -> Trace:
     """Run a single seeded trial, under `blas_threads`, and return its trace;
-    the optimizer resolves its config, given the spec's budget and the trial's seed."""
+    the optimizer runs the config `spec.validate()` resolves, with the trial's seed."""
     bench_seed, x0_seed, opt_seed = trial_seeds(spec.seed, trial)
+    cfg = dataclasses.replace(spec.validate(), seed=opt_seed)
     with blas_threads():
         objective = make_benchmark(spec.function, spec.dim, bench_seed)
         x0 = np.random.default_rng(x0_seed).uniform(
             objective.lower, objective.upper, size=spec.dim
         )
-        cfg = dataclasses.replace(spec.adadgs if spec.optimizer == "adadgs" else spec.baseline,
-                                  budget=spec.budget, seed=opt_seed)
         # looked up at call time, so a rebound *_minimize is the one called
         run = {"adadgs": adadgs_minimize, "es_bpop": es_bpop_minimize,
                "nesterov": nesterov_minimize, "fd": fd_minimize}[spec.optimizer]

@@ -251,15 +251,10 @@ def test_all_nan_objective_raises(run, cfg, finite_at_start):
     dict(learning_rate="0.1", sigma_or_h=0.1, T_max=1),
 ])
 def test_config_validation(kw):
-    with pytest.raises(ValueError):
-        BaselineConfig(**kw).validate()
-
-
-def test_an_unresolved_config_names_the_missing_setting():
-    # validate on a config whose rate is still None names the rate, not a
-    # TypeError from comparing None with a number
-    with pytest.raises(ValueError, match="learning_rate"):
-        BaselineConfig(T_max=3).validate()
+    # every optimizer checks what it resolves; only es_bpop reads a population
+    for optimizer in ["es_bpop"] if "population" in kw else ["es_bpop", "nesterov", "fd"]:
+        with pytest.raises(ValueError):
+            BaselineConfig(**kw).resolved(sphere(3), optimizer)
 
 
 def test_seed_determinism():

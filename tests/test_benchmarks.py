@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adadgs import benchmarks
 from adadgs.benchmarks import (
@@ -240,27 +242,31 @@ def test_haar_rotation_keeps_no_copy_of_the_drawn_matrix():
     assert peak <= 2.5 * d * d * 8
 
 
+def in_a_fresh_process(script: str) -> str:
+    """What `script` prints, run in a fresh process, whose high-water mark no
+    earlier test has raised: everything it touches, C buffers included,
+    counts in VmHWM. `status(key)` reads a /proc/self/status field in bytes."""
+    status = ("def status(key):\n"
+              "    with open('/proc/self/status') as fh:\n"
+              "        return next(int(line.split()[1]) * 1024 for line in fh\n"
+              "                    if line.startswith(key + ':'))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(benchmarks.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", status + script], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
 @functools.cache
 def resident_rise_over_a_draw() -> int:
-    """VmHWM's rise over one d=1000 draw, in bytes, in a fresh process, whose
-    high-water mark no earlier test has raised: everything the draw touches,
-    C buffers included, counts in VmHWM."""
-    script = (
+    """VmHWM's rise over one d=1000 draw, in bytes, in a fresh process."""
+    return int(in_a_fresh_process(
         "import numpy as np\n"
         "from adadgs.benchmarks import haar_rotation\n"
         "from adadgs.harness import blas_threads\n"
-        "def status(key):\n"
-        "    with open('/proc/self/status') as fh:\n"
-        "        return next(int(line.split()[1]) * 1024 for line in fh\n"
-        "                    if line.startswith(key + ':'))\n"
         "with blas_threads():\n"
         "    haar_rotation(50, np.random.default_rng(0))\n"
         "    before = status('VmRSS')\n"
         "    haar_rotation(1000, np.random.default_rng(1))\n"
-        "    print(status('VmHWM') - before)\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(benchmarks.__file__).parents[1])}
-    return int(subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                              capture_output=True, text=True, timeout=60).stdout)
+        "    print(status('VmHWM') - before)\n"))
 
 
 needs_proc_status = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
@@ -359,6 +365,39 @@ def test_an_adadgs_trial_on_the_axes_allocates_less_than_one_matrix():
         tracemalloc.stop()
     assert b._rotated == ((), None)
     assert peak < 0.75 * d * d * 8, f"{peak / (d * d * 8):.2f} d*d*8 bytes"
+
+
+@needs_proc_status
+def test_a_resetting_d1000_trial_holds_no_old_frame_while_the_next_w_is_made():
+    # paper-1000d with gamma=0.99 and reset_interval=2 draws 4 frames in 8
+    # iterations, here on 2 evaluation threads whatever the machine's CPUs.
+    # The peak is a draw: R, the old frame and its W, and the next frame's
+    # buffer with its transient, 4.16 d*d*8 bytes (the draw tests read 1.16
+    # for one draw), plus the 0.6 over R that a trial that never resets
+    # reads (the stencil's blocks, malloc's pages): 4.72-4.78. The bound
+    # leaves 0.84 over the 4.16. While the old pair stayed cached as the next
+    # frame's W = frame R^T was made, that product set the peak with 5 d x d
+    # arrays: 5.69
+    rise, resets = map(int, in_a_fresh_process(
+        "import dataclasses\n"
+        "import numpy as np\n"
+        "from adadgs import benchmarks\n"
+        "from adadgs.harness import blas_threads, preset\n"
+        "from adadgs.optimizer import adadgs_minimize\n"
+        "benchmarks.eval_threads = lambda: 2\n"
+        "cfg = dataclasses.replace(preset('paper-1000d'), gamma=0.99, reset_interval=2,\n"
+        "                          T_max=8, seed=1)\n"
+        "with blas_threads():\n"
+        "    b = benchmarks.make_benchmark('ackley', 50, 0)\n"
+        "    adadgs_minimize(b, np.zeros(50), dataclasses.replace(cfg, T_max=2))\n"
+        "    before = status('VmRSS')\n"
+        "    b = benchmarks.make_benchmark('ackley', 1000, 0)\n"
+        "    x0 = np.random.default_rng(1).uniform(b.lower, b.upper, 1000)\n"
+        "    _, _, trace = adadgs_minimize(b, x0, cfg)\n"
+        "    rise = status('VmHWM') - before\n"
+        "print(rise, sum(row.sigma == trace.rows[0].sigma for row in trace.rows[1:]))\n").split())
+    assert resets == 4
+    assert rise <= 5 * 1000 * 1000 * 8, f"{rise / 8e6:.2f} d*d*8 bytes"
 
 
 @pytest.mark.parametrize("name", ["ackley", "rastrigin", "salomon", "wavy"])
@@ -757,6 +796,37 @@ def test_a_point_wider_than_a_block_is_a_block_of_its_own(monkeypatch):
         monkeypatch.setattr(benchmarks, "eval_threads", lambda: threads)
         np.testing.assert_array_equal(b(rows(X)), whole)
         assert shapes == [(1, 13)] * 5
+
+
+@settings(max_examples=500, deadline=None)
+@given(name=st.sampled_from(sorted(BENCHMARKS)), d=st.integers(2, 9),
+       k=st.none() | st.integers(0, 7), m=st.integers(0, 11), block=st.integers(0, 120),
+       serial_block=st.integers(0, 120), threads=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_partition_evaluates_each_point_once_with_the_bits_of_one_block(
+        name, d, k, m, block, serial_block, threads, seed):
+    # the axes (k None) or k directions, m offsets, any two block sizes and
+    # thread counts: the blocks see the points of one serial block, each
+    # exactly once and bit for bit, and none holds more than max(size, d)
+    # coordinates, size being the block size the batch's own size picks
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = spy_on_base_function(mp, name, lambda Z: Z.copy())
+        b = make_benchmark(name, d, seed)
+        lines = Lines(rng.uniform(b.lower, b.upper, d),
+                      None if k is None else rng.standard_normal((k, d)),
+                      rng.uniform(-1.0, 1.0, m))
+        whole = blocked_values(b, lines, mp, None, 1)
+        points = sorted(row.tobytes() for Z in blocks for row in Z)
+        blocks.clear()
+        mp.setattr(benchmarks, "BLOCK_ELEMENTS", block)
+        mp.setattr(benchmarks, "SERIAL_BLOCK_ELEMENTS", serial_block)
+        mp.setattr(benchmarks, "eval_threads", lambda: threads)
+        values = b(lines)
+    assert values.tobytes() == whole.tobytes()
+    assert sorted(row.tobytes() for Z in blocks for row in Z) == points
+    size = block if (d if k is None else k) * m * d > block else serial_block
+    assert all(Z.size <= max(size, d) for Z in blocks)
 
 
 def test_a_paper_1000d_line_search_is_cut_into_runs_of_offsets(monkeypatch):

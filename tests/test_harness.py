@@ -525,6 +525,22 @@ def test_manifest_records_the_resolved_config(tmp_path):
         learning_rate=0.002 * width, sigma_or_h=0.02 * width, population=26, budget=500))
 
 
+@pytest.mark.parametrize("optimizer", ["adadgs", "es_bpop"])
+def test_each_trial_runs_the_config_the_manifest_records(tmp_path, monkeypatch, optimizer):
+    # the optimizer is handed the resolved config itself, not the spec's to
+    # resolve again, with its trial's seed
+    run, seen = getattr(harness, f"{optimizer}_minimize"), []
+    monkeypatch.setattr(harness, f"{optimizer}_minimize",
+                        lambda F, x0, cfg: seen.append(cfg) or run(F, x0, cfg))
+    spec = small_spec(tmp_path, trials=2, optimizer=optimizer)
+    run_experiment(spec)
+    config = json.loads((spec.run_dir / "manifest.json").read_text())["config"]
+    assert len(seen) == 2
+    for trial, cfg in enumerate(seen):
+        assert dataclasses.asdict(dataclasses.replace(cfg, seed=None)) == config
+        assert cfg.seed == trial_seeds(spec.seed, trial)[2]
+
+
 @pytest.mark.parametrize("kw,named", [
     (dict(trials=2.5), "must be an integer"), (dict(dim=3.5), "must be an integer"),
     (dict(trials=True), "must be an integer"), (dict(budget=1e3), "must be an integer"),
