@@ -16,6 +16,7 @@ import os
 import select
 import shlex
 import subprocess
+import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -273,7 +274,9 @@ class TransformedBenchmark(Objective):
     k*d*d instead of k*m*d*d. W is kept for the last directions array that
     is read-only and owns its data (a random frame from
     `optimizer.random_rotation`), matched by identity, so a frame is rotated
-    once however often it is used. The coordinate axes (directions None),
+    once however often it is used. The cache holds that array by a weak
+    reference, so it never keeps a frame alive, and it lets go of the old W
+    before it makes the next. The coordinate axes (directions None),
     which every AdaDGS and `fd` trial starts from, are rotated without a
     matmul and with no W: I R^T is R^T bit for bit, so each block copies its
     own rows of R^T, and R is the one d x d array a trial on the axes holds.
@@ -304,7 +307,8 @@ class TransformedBenchmark(Objective):
         self.rotation = np.asarray(rotation, float)
         self.x_opt = np.asarray(x_opt, float)
         self._info = info
-        self._rotated = ((), None)  # (directions, W); () matches no directions
+        # (a weak reference to the cached directions, their W); None matches none
+        self._rotated = (lambda: None, None)
 
         # fn must not refer to self: the cycle would keep each benchmark's
         # d x d arrays alive until the cyclic garbage collector runs
@@ -318,13 +322,13 @@ class TransformedBenchmark(Objective):
         cached, W = self._rotated  # one read: another caller may replace the pair
         if directions is None:
             W = None  # the axes: each block copies its rows of R^T
-        elif cached is not directions:
+        elif cached() is not directions:
             # a read-only array that owns its data cannot change under the cache
             if cache := not directions.flags.writeable and directions.base is None:
-                cached, W = self._rotated = ((), None)  # the old pair dies before the new W
+                cached, W = self._rotated = (lambda: None, None)  # the old W dies before the new
             W = directions @ self.rotation.T
             if cache:
-                self._rotated = (directions, W)
+                self._rotated = (weakref.ref(directions), W)
         z0 = _to_base(origin, self.rotation, self.x_opt, self._info.z_star)
         base_fn, d, m, R_T = self._info.fn, self.dim, len(offsets), self.rotation.T
         k = d if W is None else len(W)

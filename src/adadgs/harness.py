@@ -17,7 +17,9 @@ spread over the CPUs by the benchmark itself (`benchmarks.eval_threads`).
 `run_trial`, `summarize`, `make_benchmark` and the three baseline
 `*_minimize` functions stay module-level names, looked up through this
 module on every call, and `parse_trace_csv` stays defined here:
-`perfbench/tracer.py` times each layer by rebinding them from outside.
+`perfbench/tracer.py` times each in-process layer by rebinding them from
+outside. A pool's workers start by the platform's default method, so a
+name rebound in the parent need not reach them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import contextlib
 import ctypes
 import dataclasses
 import json
-import multiprocessing
 import os
 import platform
 import re
@@ -167,22 +168,14 @@ def run_trial(spec: ExperimentSpec, trial: int) -> Trace:
     return trace
 
 
-def _run_trial(spec: ExperimentSpec, trial: int) -> Trace:
-    # the pool pickles this name, never a rebound run_trial, which it looks up
-    return run_trial(spec, trial)
-
-
 def _trial_traces(spec: ExperimentSpec, workers: int):
     """Yield each trial's Trace in trial order, in-process or from a pool."""
     jobs = ([spec] * spec.trials, range(spec.trials))
     if workers > 1:
-        # fork, whatever the platform's default: a rebound module-level name
-        # reaches the workers, and each worker's evaluation pool is its own
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            yield from pool.map(_run_trial, *jobs)
+        with ProcessPoolExecutor(workers) as pool:
+            yield from pool.map(run_trial, *jobs)
     else:
-        yield from map(_run_trial, *jobs)
+        yield from map(run_trial, *jobs)
 
 
 def _atomic_write(path: Path, text: str) -> None:

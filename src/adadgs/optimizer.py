@@ -252,6 +252,7 @@ def adadgs_minimize(F, x0, cfg: AdaDgsConfig) -> tuple[np.ndarray, float, Trace]
         for t in itertools.count():
             x, f, step, sigma, stalled = adadgs_step(F, x, f, frame, sigma, cfg)
             if stalled and (last_reset is None or t - last_reset >= cfg.reset_interval):
+                frame = None  # the old frame dies before the next is drawn
                 frame, sigma, last_reset = random_rotation(d, rng), cfg.sigma0, t
             yield Iterate(f, sigma, step, x, f)
 

@@ -13,7 +13,13 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401 (parallel check
 import numpy as np
 import pytest
 
-from adadgs.benchmarks import BENCHMARKS, Objective, make_benchmark, optimum_value
+from adadgs.benchmarks import (
+    BENCHMARKS,
+    Objective,
+    eval_threads,
+    make_benchmark,
+    optimum_value,
+)
 from adadgs.gradient import dgs_gradient
 from adadgs.harness import (
     ExperimentSpec,
@@ -148,7 +154,11 @@ def _median_final(tmp_path, function, optimizer, dim=100, budget=300_000,
 
 
 @pytest.mark.slow
-def test_criterion_5_multimodal_contrast(tmp_path):
+def test_criterion_5_multimodal_contrast(tmp_path, monkeypatch):
+    # the 20 trials run on every CPU this process may use; their CSVs do not
+    # depend on the worker count (criterion 7). Criterion 6 stays in-process:
+    # its stencils are threaded
+    monkeypatch.setenv("ADADGS_WORKERS", str(min(20, eval_threads())))
     t0 = time.perf_counter()
     medians = {}
     for function, bound in (("ackley", 1e-1), ("rastrigin", 10.0)):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adadgs import benchmarks
+from adadgs import benchmarks, optimizer
 from adadgs.benchmarks import (
     BENCHMARKS,
     Lines,
@@ -287,6 +287,12 @@ def test_a_haar_rotation_raises_the_resident_peak_by_at_most_one_and_a_half_matr
     assert rise <= 1.5 * 1000 * 1000 * 8, f"{rise / 8e6:.2f} d*d*8 bytes"
 
 
+def cached(b):
+    """The benchmark's cached (directions, W), its weak reference dereferenced."""
+    ref, W = b._rotated
+    return ref(), W
+
+
 @pytest.mark.parametrize("path", ["lapack", "fallback"])
 def test_a_random_frame_is_read_only_owns_its_data_and_is_cached(path, monkeypatch):
     # random_rotation hands out the drawn Q itself, with no copy, on both
@@ -298,7 +304,7 @@ def test_a_random_frame_is_read_only_owns_its_data_and_is_cached(path, monkeypat
     assert frame.flags.c_contiguous
     b = make_benchmark("rastrigin", 6, 1)
     b(Lines(np.zeros(6), frame, np.array([-1.0, 1.0])))
-    assert b._rotated[0] is frame
+    assert cached(b)[0] is frame
 
 
 def test_the_lapack_workspace_is_queried_once_per_routine_and_size(monkeypatch):
@@ -363,7 +369,7 @@ def test_an_adadgs_trial_on_the_axes_allocates_less_than_one_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert b._rotated == ((), None)
+    assert cached(b) == (None, None)
     assert peak < 0.75 * d * d * 8, f"{peak / (d * d * 8):.2f} d*d*8 bytes"
 
 
@@ -371,13 +377,13 @@ def test_an_adadgs_trial_on_the_axes_allocates_less_than_one_matrix():
 def test_a_resetting_d1000_trial_holds_no_old_frame_while_the_next_w_is_made():
     # paper-1000d with gamma=0.99 and reset_interval=2 draws 4 frames in 8
     # iterations, here on 2 evaluation threads whatever the machine's CPUs.
-    # The peak is a draw: R, the old frame and its W, and the next frame's
-    # buffer with its transient, 4.16 d*d*8 bytes (the draw tests read 1.16
-    # for one draw), plus the 0.6 over R that a trial that never resets
-    # reads (the stencil's blocks, malloc's pages): 4.72-4.78. The bound
-    # leaves 0.84 over the 4.16. While the old pair stayed cached as the next
-    # frame's W = frame R^T was made, that product set the peak with 5 d x d
-    # arrays: 5.69
+    # The peak is a draw: R, the old W (the old frame is already freed), and
+    # the next frame's buffer with its transient, 3.16 d*d*8 bytes (the draw
+    # tests read 1.16 for one draw), plus the 0.6 over R that a trial that
+    # never resets reads (the stencil's blocks, malloc's pages): 3.89. While
+    # the old frame stayed held through the draw, it read 4.72-4.78; while the
+    # old pair stayed cached as the next frame's W = frame R^T was made, that
+    # product set the peak with 5 d x d arrays: 5.69
     rise, resets = map(int, in_a_fresh_process(
         "import dataclasses\n"
         "import numpy as np\n"
@@ -397,7 +403,25 @@ def test_a_resetting_d1000_trial_holds_no_old_frame_while_the_next_w_is_made():
         "    rise = status('VmHWM') - before\n"
         "print(rise, sum(row.sigma == trace.rows[0].sigma for row in trace.rows[1:]))\n").split())
     assert resets == 4
-    assert rise <= 5 * 1000 * 1000 * 8, f"{rise / 8e6:.2f} d*d*8 bytes"
+    assert rise <= 4.25 * 1000 * 1000 * 8, f"{rise / 8e6:.2f} d*d*8 bytes"
+
+
+def test_the_old_frame_is_freed_before_the_next_is_drawn(monkeypatch):
+    # neither the generator nor the benchmark's cache holds a frame once a
+    # reset has begun, so a draw never runs beside the frame it replaces
+    draw, frames, alive = optimizer.random_rotation, [], []
+
+    def drawn(d, rng):
+        alive.append(sum(ref() is not None for ref in frames))
+        frame = draw(d, rng)
+        frames.append(weakref.ref(frame))
+        return frame
+
+    monkeypatch.setattr(optimizer, "random_rotation", drawn)
+    b = make_benchmark("ackley", 8, 0)
+    cfg = AdaDgsConfig(gamma=0.99, reset_interval=1, T_max=6, seed=1)
+    adadgs_minimize(b, np.random.default_rng(2).uniform(b.lower, b.upper), cfg)
+    assert len(alive) >= 3 and alive == [0] * len(alive)
 
 
 @pytest.mark.parametrize("name", ["ackley", "rastrigin", "salomon", "wavy"])
@@ -601,7 +625,7 @@ def test_new_frame_gets_new_rotated_directions():
         frame = random_rotation(10, rng)
         lines = Lines(origin, frame, offsets)
         np.testing.assert_allclose(b(lines), b.fn(lines.points), rtol=1e-12)
-        assert b._rotated[0] is frame
+        assert cached(b)[0] is frame
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
@@ -615,14 +639,14 @@ def test_identity_frame_is_rotated_without_a_matmul(name, monkeypatch):
     rng = np.random.default_rng(10)
     origin, offsets = rng.uniform(*DOMAINS[name], d), np.array([-0.5, 0.5, 1.0])
     values = b(Lines(origin, None, offsets))
-    assert b._rotated == ((), None)  # the axes keep no W
+    assert cached(b) == (None, None)  # the axes keep no W
     # an explicit identity is a writable array like any other: the matmul
     # path, uncached, with the axes' values bit for bit
     assert np.array_equal(b(Lines(origin, np.eye(d), offsets)), values)
     # a reversed identity is no identity, so it takes the matmul path
     reversed_values = b(Lines(origin, np.eye(d)[::-1], offsets))
     assert np.array_equal(values, reversed_values.reshape(d, -1)[::-1].ravel())
-    assert b._rotated == ((), None)
+    assert cached(b) == (None, None)
     # no matmul rotates the axes: a NaN at R[1, 2] stays in direction 2's row
     # of R^T, where I R^T would spread it over every direction (0 * NaN is
     # NaN). z0 = R(origin - x_opt) would carry it to every point, so here z0
@@ -656,7 +680,7 @@ def test_writable_directions_are_never_cached():
         lines = Lines(origin, D, offsets)
         np.testing.assert_allclose(b(lines), b.fn(lines.points), rtol=1e-12)
         # the frame's entry is neither replaced nor evicted
-        assert b._rotated[0] is frame
+        assert cached(b)[0] is frame
 
 
 def test_benchmark_is_freed_without_the_cycle_collector():

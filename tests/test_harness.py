@@ -379,11 +379,15 @@ def test_a_forked_worker_evaluates_blocks_in_threads(tmp_path):
     assert trial_csvs(default) == trial_csvs(serial)
 
 
-def test_trial_workers_are_forked_whatever_the_default_start_method(tmp_path):
-    # under spawn (or forkserver, Linux's default from Python 3.14) a worker
-    # imports adadgs afresh, so a module-level name rebound in the parent
-    # (as perfbench's tracer rebinds them) would not reach it
-    spec = small_spec(tmp_path, trials=2, budget=200)
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_the_trial_pool_runs_under_every_start_method(method, tmp_path):
+    # the pool starts its workers by the platform's default method, here set
+    # in a fresh process. In-process, the parent's rebound make_benchmark
+    # logs the parent's pid for each trial; pooled, it never does (a forked
+    # worker logs its own pid, a fresh one runs the module's own), and the
+    # pooled CSVs are the in-process run's bytes
+    serial = small_spec(tmp_path / "in-process", trials=2, budget=200)
+    pooled = small_spec(tmp_path / "pooled", trials=2, budget=200)
     log = tmp_path / "pids"
     run_in_subprocess(
         "import multiprocessing, os\n"
@@ -391,18 +395,22 @@ def test_trial_workers_are_forked_whatever_the_default_start_method(tmp_path):
         "from adadgs.harness import ExperimentSpec\n"
         "from adadgs.baselines import BaselineConfig\n"
         "from adadgs.optimizer import AdaDgsConfig\n"
-        "multiprocessing.set_start_method('spawn', force=True)\n"
+        f"multiprocessing.set_start_method({method!r}, force=True)\n"
         "make = harness.make_benchmark\n"
         "def logged(*args):\n"
         f"    with open({str(log)!r}, 'a') as fh:\n"
         "        fh.write(f'{os.getpid()}\\n')\n"
         "    return make(*args)\n"
         "harness.make_benchmark = logged\n"
+        f"harness.run_experiment({serial!r})\n"
+        f"assert open({str(log)!r}).read().split() == [str(os.getpid())] * 2\n"
         f"open({str(log)!r}, 'w').close()\n"
-        f"harness.run_experiment({spec!r})\n"
+        "os.environ['ADADGS_WORKERS'] = '2'\n"
+        f"harness.run_experiment({pooled!r})\n"
         f"assert str(os.getpid()) not in open({str(log)!r}).read().split()",
-        {"ADADGS_WORKERS": "2"}, timeout=60)
-    assert len(log.read_text().split()) == spec.trials
+        {"ADADGS_WORKERS": "1"}, timeout=60)
+    assert json.loads((pooled.run_dir / "manifest.json").read_text())["threads"]["workers"] == 2
+    assert trial_csvs(pooled) == trial_csvs(serial)
 
 
 def test_manifest_records_the_thread_counts(tmp_path, monkeypatch):
