@@ -17,7 +17,6 @@ import select
 import shlex
 import subprocess
 import weakref
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -250,12 +249,14 @@ def eval_threads() -> int:
 
 
 @functools.cache
-def _eval_pool(pid: int) -> ThreadPoolExecutor:
-    """Process `pid`'s pool of `eval_threads()` - 1 evaluation threads, made
-    on first use; called as `_eval_pool(os.getpid())`, so a forked child,
-    whose copy of its parent's pool has no threads, makes its own. A later
-    `eval_threads()` changes the share count, not the pool; every share is
-    row-wise, so a pool of another size gives the same values."""
+def _eval_pool(pid: int):
+    """Process `pid`'s `ThreadPoolExecutor` of `eval_threads()` - 1 evaluation
+    threads, made, and its module imported, on first use; called as
+    `_eval_pool(os.getpid())`, so a forked child, whose copy of its parent's
+    pool has no threads, makes its own. A later `eval_threads()` changes the
+    share count, not the pool; every share is row-wise, so a pool of another
+    size gives the same values."""
+    from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(eval_threads() - 1, thread_name_prefix="adadgs-eval")
 
 
@@ -363,15 +364,16 @@ class TransformedBenchmark(Objective):
 
         # the caller evaluates the first share and the pool the rest, each of
         # those in a copy of the caller's context, so that np.errstate applies
-        # in the pool's threads too. A serial batch submits nothing; its
-        # wait([]) took 1.7 us (2-vCPU Xeon), too little for a branch
+        # in the pool's threads too
         futures = [_eval_pool(os.getpid()).submit(contextvars.copy_context().run, share,
                                                   units * i // n, units * (i + 1) // n)
                    for i in range(1, n)]
         try:
             share(0, units // n)
         finally:
-            wait(futures)  # no share writes to out once this call has ended
+            if futures:  # a serial batch submits none, and so imports no executor
+                from concurrent.futures import wait
+                wait(futures)  # no share writes to out once this call has ended
         for future in futures:
             future.result()
         return out

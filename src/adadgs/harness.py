@@ -20,6 +20,10 @@ module on every call, and `parse_trace_csv` stays defined here:
 `perfbench/tracer.py` times each in-process layer by rebinding them from
 outside. A pool's workers start by the platform's default method, so a
 name rebound in the parent need not reach them.
+
+`ProcessPoolExecutor` is imported where a run first makes its pool, so an
+in-process run, like `import adadgs`, loads neither
+`concurrent.futures.process` nor `multiprocessing`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import os
 import platform
 import re
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -172,6 +175,7 @@ def _trial_traces(spec: ExperimentSpec, workers: int):
     """Yield each trial's Trace in trial order, in-process or from a pool."""
     jobs = ([spec] * spec.trials, range(spec.trials))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # on first use: see the docstring
         with ProcessPoolExecutor(workers) as pool:
             yield from pool.map(run_trial, *jobs)
     else:

@@ -8,7 +8,6 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401 (parallel check below)
 
 import numpy as np
 import pytest

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import gc
@@ -377,10 +378,12 @@ def test_an_adadgs_trial_on_the_axes_allocates_less_than_one_matrix():
 def test_a_resetting_d1000_trial_holds_no_old_frame_while_the_next_w_is_made():
     # paper-1000d with gamma=0.99 and reset_interval=2 draws 4 frames in 8
     # iterations, here on 2 evaluation threads whatever the machine's CPUs.
-    # The peak is a draw: R, the old W (the old frame is already freed), and
-    # the next frame's buffer with its transient, 3.16 d*d*8 bytes (the draw
-    # tests read 1.16 for one draw), plus the 0.6 over R that a trial that
-    # never resets reads (the stencil's blocks, malloc's pages): 3.89. While
+    # The peak is making the next frame's W: R, the frame, W and the
+    # product's transient, plus the 0.6 over R that a trial that never resets
+    # reads (the stencil's blocks, malloc's pages): 3.89 d*d*8 bytes, and
+    # 3.98-4.04 with concurrent.futures.thread, which the trial's first
+    # threaded batch imports after `before` is read. Freeing the old W
+    # before the draw leaves this peak as it is (3.97-4.03). While
     # the old frame stayed held through the draw, it read 4.72-4.78; while the
     # old pair stayed cached as the next frame's W = frame R^T was made, that
     # product set the peak with 5 d x d arrays: 5.69
@@ -1014,6 +1017,28 @@ def test_another_thread_count_keeps_the_pool(monkeypatch, own_pool):
                                       expected)
     assert benchmarks._eval_pool(os.getpid()) is pool and pool._max_workers == 1
     assert set(threading.enumerate()) == before
+
+
+def test_a_threaded_batch_imports_the_thread_pool_and_not_the_process_pool():
+    # the evaluation pool's module is imported when the first batch of more
+    # than BLOCK_ELEMENTS coordinates makes the pool; the trial pool's
+    # modules are imported only where a run makes that pool
+    loaded = ast.literal_eval(in_a_fresh_process(
+        "import sys\n"
+        "import numpy as np\n"
+        "from adadgs import benchmarks\n"
+        "from adadgs.benchmarks import Lines\n"
+        "benchmarks.eval_threads = lambda: 2\n"
+        "b = benchmarks.make_benchmark('rastrigin', 100, 0)\n"
+        "before = 'concurrent.futures.thread' in sys.modules\n"
+        "assert 100 * 8 * 100 > benchmarks.BLOCK_ELEMENTS\n"
+        "b(Lines(np.zeros(100), None, np.linspace(-1.0, 1.0, 8)))\n"
+        "print([before, sorted(m for m in sys.modules\n"
+        "                      if m.split('.')[0] in ('concurrent', 'multiprocessing'))])"))
+    before, modules = loaded
+    assert not before and "concurrent.futures.thread" in modules
+    assert "concurrent.futures.process" not in modules
+    assert not [m for m in modules if m.split(".")[0] == "multiprocessing"]
 
 
 def test_concurrent_callers_share_the_pool(monkeypatch):

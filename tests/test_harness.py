@@ -379,6 +379,25 @@ def test_a_forked_worker_evaluates_blocks_in_threads(tmp_path):
     assert trial_csvs(default) == trial_csvs(serial)
 
 
+def test_an_in_process_run_imports_no_executor(tmp_path):
+    # concurrent.futures.process and multiprocessing are imported where a run
+    # first makes its trial pool, and concurrent.futures.thread where a batch
+    # first makes the evaluation pool; a serial run of d=10 trials makes neither
+    spec = small_spec(tmp_path, dim=10, trials=2)
+    env = {key: value for key, value in os.environ.items() if key != harness.WORKERS_ENV}
+    code = ("import sys, adadgs\n"
+            "from adadgs.harness import ExperimentSpec, run_experiment\n"
+            "from adadgs.baselines import BaselineConfig\n"
+            "from adadgs.optimizer import AdaDgsConfig\n"
+            f"run_experiment({spec!r})\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": str(SRC)},
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    assert json.loads((spec.run_dir / "manifest.json").read_text())["threads"]["workers"] == 1
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
 def test_the_trial_pool_runs_under_every_start_method(method, tmp_path):
     # the pool starts its workers by the platform's default method, here set
