@@ -273,14 +273,15 @@ class TransformedBenchmark(Objective):
     z0 + offsets[j] * W[i] with z0 = R(origin - x_opt) + z_star and
     W = directions R^T, so no point array is built and the rotation costs
     k*d*d instead of k*m*d*d. W is kept for the last directions array that
-    is read-only and owns its data (a random frame from
-    `optimizer.random_rotation`), matched by identity, so a frame is rotated
-    once however often it is used. The cache holds that array by a weak
-    reference, so it never keeps a frame alive, and it lets go of the old W
-    before it makes the next. The coordinate axes (directions None),
-    which every AdaDGS and `fd` trial starts from, are rotated without a
-    matmul and with no W: I R^T is R^T bit for bit, so each block copies its
-    own rows of R^T, and R is the one d x d array a trial on the axes holds.
+    is read-only and owns its data (a random frame, as `haar_rotation`
+    draws it), matched by identity, so a frame is rotated once however
+    often it is used. The cache holds that array by a weak reference, so it
+    never keeps a frame alive, and it lets go of the old W before it makes
+    the next. The coordinate axes (directions None), which every AdaDGS and
+    `fd` trial starts from, have W = R^T (I R^T is R^T bit for bit), a view
+    whose rows each block copies; R is the one d x d array such a trial
+    holds. `make_benchmark` draws R read-only; a caller's own R must not be
+    written after the benchmark is built, or a cached W goes stale.
 
     A batch of more than `BLOCK_ELEMENTS` (2**16) coordinates is threaded,
     in blocks of at most `BLOCK_ELEMENTS` (numpy releases the GIL); a
@@ -322,7 +323,7 @@ class TransformedBenchmark(Objective):
         origin, directions, offsets = lines
         cached, W = self._rotated  # one read: another caller may replace the pair
         if directions is None:
-            W = None  # the axes: each block copies its rows of R^T
+            W = self.rotation.T  # the axes: I R^T is R^T, a view
         elif cached() is not directions:
             # a read-only array that owns its data cannot change under the cache
             if cache := not directions.flags.writeable and directions.base is None:
@@ -331,8 +332,7 @@ class TransformedBenchmark(Objective):
             if cache:
                 self._rotated = (weakref.ref(directions), W)
         z0 = _to_base(origin, self.rotation, self.x_opt, self._info.z_star)
-        base_fn, d, m, R_T = self._info.fn, self.dim, len(offsets), self.rotation.T
-        k = d if W is None else len(W)
+        base_fn, d, m, k = self._info.fn, self.dim, len(offsets), len(W)
         out = np.empty(k * m)
 
         threaded = k * m * d > BLOCK_ELEMENTS
@@ -354,9 +354,9 @@ class TransformedBenchmark(Objective):
                 # directions lo//c..ceil(hi/c), offsets from lo's run to (hi-1)'s
                 first, stop = lo // c, -(-hi // c)
                 j0, j1 = m * (lo % c) // c, m * ((hi - 1) % c + 1) // c
-                # the axes copy their rows of R^T: reading a view's strided rows
+                # the view R^T's strided rows are copied: read in place, they
                 # slowed a d=1000 stencil by ~6%
-                rows = R_T[first:stop].copy() if W is None else W[first:stop]
+                rows = np.ascontiguousarray(W[first:stop])
                 Z = offsets[None, j0:j1, None] * rows[:, None, :]
                 Z += z0  # in place: a second block-sized temporary slowed d=200 by ~10%
                 out[first * m + j0:(stop - 1) * m + j1] = base_fn(Z.reshape(-1, d))
@@ -412,23 +412,25 @@ def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     a trial. This draw holds one d*d array. Where numpy's library lacks
     either routine, `np.linalg.qr` draws it. A test pins the result, bit
     for bit, to `np.linalg.qr`'s on both paths. A d below 1 is a ValueError
-    on both.
+    on both. On both, Q is C-contiguous, owns its data and is read-only:
+    no R or frame changes after the draw, so no cached W goes stale.
     """
     check_count("d", d, 1)
     A = rng.standard_normal((d, d))
     routines = [openblas_function(name) for name in ("scipy_dgeqrf_64_", "scipy_dorgqr_64_")]
     if None in routines:
-        Q, R = np.linalg.qr(A)
-        Q *= np.sign(np.diag(R))
-        return Q
-    _transpose_in_place(A)  # A.T is now the drawn matrix, column-major
-    tau = np.empty(d)
-    (geqrf, integer), (orgqr, _) = routines
-    _lapack(geqrf, integer, 2, A.T, tau)
-    signs = np.sign(A.diagonal())
-    _lapack(orgqr, integer, 3, A.T, tau)
-    _transpose_in_place(A)  # Q, in C order
-    A *= signs
+        A, R = np.linalg.qr(A)
+        A *= np.sign(np.diag(R))
+    else:
+        _transpose_in_place(A)  # A.T is now the drawn matrix, column-major
+        tau = np.empty(d)
+        (geqrf, integer), (orgqr, _) = routines
+        _lapack(geqrf, integer, 2, A.T, tau)
+        signs = np.sign(A.diagonal())
+        _lapack(orgqr, integer, 3, A.T, tau)
+        _transpose_in_place(A)  # Q, in C order
+        A *= signs
+    A.setflags(write=False)
     return A
 
 
@@ -492,6 +494,44 @@ def openblas_function(name: str):
         return getattr(lib, name), ctypes.c_int64 if name.endswith("64_") else ctypes.c_int
     except (AttributeError, OSError):
         return None
+
+
+# the BLAS thread count every trial runs under: a matvec's rounding depends on
+# it, and a second BLAS thread spins on a CPU that a stencil's blocks can use
+BLAS_THREADS = 1
+
+
+def _blas_thread_functions():
+    """numpy's bundled OpenBLAS (get, set) thread-count functions, or None
+    where there are none to be found."""
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                           ("openblas_", "")):
+        found = [openblas_function(f"{prefix}{verb}_num_threads{suffix}")
+                 for verb in ("get", "set")]
+        if None not in found:
+            # each takes or returns a C int, whatever the library's integers
+            (get, _), (set_, _) = found
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads():
+    """Run the block with numpy's BLAS on `BLAS_THREADS` threads, restoring
+    the previous count on exit; where no setter was found, the BLAS keeps
+    its own count."""
+    if (functions := _blas_thread_functions()) is None:
+        yield
+        return
+    get, set_ = functions
+    before = get()
+    set_(BLAS_THREADS)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 # ---------------------------------------------------------------------------

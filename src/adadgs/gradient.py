@@ -103,7 +103,9 @@ def directional_derivative(
 
     The last axis of `values` aligns index-for-index with the rule's nodes;
     any leading axes index directions, so one call assembles them all.
+    sigma is checked with `check_positive`.
     """
+    check_positive("sigma", sigma)
     values = np.asarray(values, float)
     if values.shape[-1] != rule.order:
         raise ValueError(

@@ -10,13 +10,13 @@ A spec's optimizer reads its own config (`adadgs` or `baseline`) and the
 other stays at its default. `ExperimentSpec.validate` resolves it once, with
 the spec's budget: `manifest.json` records it, and each trial runs it.
 
-A trial runs with numpy's BLAS on one thread (`blas_threads`), so its CSV
-does not depend on the machine's BLAS thread count; a large stencil is
-spread over the CPUs by the benchmark itself (`benchmarks.eval_threads`).
+A trial pins numpy's BLAS to one thread (`benchmarks.blas_threads`), so
+its CSV does not depend on the machine's BLAS thread count; a large
+stencil is spread over the CPUs by `benchmarks.eval_threads`.
 
 `run_trial`, `summarize`, `make_benchmark` and the three baseline
 `*_minimize` functions stay module-level names, looked up through this
-module on every call, and `parse_trace_csv` stays defined here:
+module on every call, and `parse_trace_csv` (from `trace`) is imported here:
 `perfbench/tracer.py` times each in-process layer by rebinding them from
 outside. A pool's workers start by the platform's default method, so a
 name rebound in the parent need not reach them.
@@ -29,7 +29,6 @@ in-process run, like `import adadgs`, loads neither
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import dataclasses
 import json
 import os
@@ -43,11 +42,11 @@ import numpy as np
 
 from . import __version__
 from .baselines import BaselineConfig, es_bpop_minimize, fd_minimize, nesterov_minimize
-from .benchmarks import (BENCHMARKS, Objective, eval_threads, make_benchmark, openblas_function,
-                         optimum_value)
+from .benchmarks import (BENCHMARKS, BLAS_THREADS, Objective, _blas_thread_functions,
+                         blas_threads, eval_threads, make_benchmark, optimum_value)
 from .errors import check_count
 from .optimizer import AdaDgsConfig, adadgs_minimize
-from .trace import Trace
+from .trace import Trace, parse_trace_csv
 
 OPTIMIZERS = ("adadgs", "es_bpop", "nesterov", "fd")
 # named starting configs; the paper's large-scale setting is used at every
@@ -56,9 +55,6 @@ PRESETS = {
     "paper-1000d": AdaDgsConfig(M=5, gamma=0.0, S=200, contraction=0.9, sigma0_scale=5.0),
 }
 WORKERS_ENV = "ADADGS_WORKERS"
-# the BLAS thread count every trial runs under: a matvec's rounding depends on
-# it, and a second BLAS thread spins on a CPU that a stencil's blocks can use
-BLAS_THREADS = 1
 N_CHECKPOINTS = 100
 
 
@@ -118,40 +114,6 @@ def changed_fields(cfg) -> list[str]:
     default = type(cfg)()
     return [f.name for f in dataclasses.fields(cfg)
             if getattr(cfg, f.name) != getattr(default, f.name)]
-
-
-def _blas_thread_functions():
-    """numpy's bundled OpenBLAS (get, set) thread-count functions, or None
-    where there are none to be found."""
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
-                           ("openblas_", "")):
-        found = [openblas_function(f"{prefix}{verb}_num_threads{suffix}")
-                 for verb in ("get", "set")]
-        if None not in found:
-            # each takes or returns a C int, whatever the library's integers
-            (get, _), (set_, _) = found
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def blas_threads():
-    """Run the block with numpy's BLAS on `BLAS_THREADS` threads, restoring
-    the previous count on exit; where no setter was found, the BLAS keeps
-    its own count."""
-    functions = _blas_thread_functions()
-    if functions is None:
-        yield
-        return
-    get, set_ = functions
-    before = get()
-    set_(BLAS_THREADS)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> Trace:
@@ -311,17 +273,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     manifest["complete"] = True
     _write_json(run_dir / "manifest.json", manifest)
     return summary
-
-
-def parse_trace_csv(text: str) -> Trace:
-    """Rebuild a Trace from CSV text (inverse of Trace.to_csv)."""
-    trace = Trace()
-    lines = text.strip().splitlines()
-    for line in lines[1:]:
-        _, it, ev, f_cur, f_best, sigma, step = line.split(",")
-        trace.append(int(it), int(ev), float(f_cur), float(f_best),
-                     float(sigma), float(step))
-    return trace
 
 
 def preset(name: str) -> AdaDgsConfig:

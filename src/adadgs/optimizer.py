@@ -13,6 +13,7 @@ supplies only its per-iteration step (see `drive` for the contract).
 `adadgs_step`, `random_rotation`, `dgs_gradient` and `line_search` stay
 module-level names, looked up through this module on every call:
 `perfbench/tracer.py` times each layer by rebinding them from outside.
+`random_rotation` is the draw itself, `benchmarks.haar_rotation`.
 """
 
 from __future__ import annotations
@@ -181,8 +182,14 @@ def line_search(F, x, g, L_max, L_min, S, f_x) -> LineSearchResult:
     a candidate must strictly improve on f_x to win, so the result never
     worsens. Ties between candidates go to the smaller j (the longer step).
     A non-finite candidate value ranks as +inf, so it never wins. The
-    candidates go to F as one `Lines` batch along ghat.
+    candidates go to F as one `Lines` batch along ghat. S, L_max and L_min
+    are checked as `AdaDgsConfig.resolved` checks them, with its messages.
     """
+    check_count("S", S, 2)
+    check_positive("L_max", L_max)
+    check_positive("L_min", L_min)
+    if not L_min < L_max:
+        raise ValueError(f"need L_min < L_max, got {L_min}, {L_max}")
     x = np.asarray(x, float)
     g = np.asarray(g, float)
     gnorm = gradient_norm(g)
@@ -208,12 +215,7 @@ def sigma_update(sigma_prev: float, step: float) -> float:
     return 0.5 * (sigma_prev + step)
 
 
-def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random orthonormal frame, row i its direction i. It is
-    read-only and owns its data, so a benchmark may cache its rotation."""
-    frame = haar_rotation(d, rng)
-    frame.flags.writeable = False
-    return frame
+random_rotation = haar_rotation  # a reset's frame, row i its direction i
 
 
 def adadgs_step(F, x, f, frame: np.ndarray | None, sigma: float, cfg: AdaDgsConfig):

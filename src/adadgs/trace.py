@@ -56,3 +56,14 @@ class Trace:
                 f"{r.f_best!r},{r.sigma!r},{r.step!r}\n"
             )
         return buf.getvalue()
+
+
+def parse_trace_csv(text: str) -> Trace:
+    """Rebuild a Trace from CSV text (inverse of Trace.to_csv)."""
+    trace = Trace()
+    lines = text.strip().splitlines()
+    for line in lines[1:]:
+        _, it, ev, f_cur, f_best, sigma, step = line.split(",")
+        trace.append(int(it), int(ev), float(f_cur), float(f_best),
+                     float(sigma), float(step))
+    return trace

@@ -23,11 +23,11 @@ from adadgs.benchmarks import (
     Lines,
     Objective,
     TransformedBenchmark,
+    blas_threads,
     haar_rotation,
     make_benchmark,
     optimum_value,
 )
-from adadgs.harness import blas_threads
 from adadgs.optimizer import AdaDgsConfig, adadgs_minimize, random_rotation
 
 DOMAINS = {
@@ -200,6 +200,8 @@ def test_haar_rotation_is_the_bits_of_numpys_qr(d, seed, monkeypatch):
     for got in (lapack, fallback):
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.flags.c_contiguous
+        # read-only from the draw, and owning its data, so no view can write it
+        assert not got.flags.writeable and got.flags.owndata and got.base is None
         assert got.tobytes() == expected.tobytes()
 
 
@@ -261,8 +263,7 @@ def resident_rise_over_a_draw() -> int:
     """VmHWM's rise over one d=1000 draw, in bytes, in a fresh process."""
     return int(in_a_fresh_process(
         "import numpy as np\n"
-        "from adadgs.benchmarks import haar_rotation\n"
-        "from adadgs.harness import blas_threads\n"
+        "from adadgs.benchmarks import blas_threads, haar_rotation\n"
         "with blas_threads():\n"
         "    haar_rotation(50, np.random.default_rng(0))\n"
         "    before = status('VmRSS')\n"
@@ -391,7 +392,8 @@ def test_a_resetting_d1000_trial_holds_no_old_frame_while_the_next_w_is_made():
         "import dataclasses\n"
         "import numpy as np\n"
         "from adadgs import benchmarks\n"
-        "from adadgs.harness import blas_threads, preset\n"
+        "from adadgs.benchmarks import blas_threads\n"
+        "from adadgs.harness import preset\n"
         "from adadgs.optimizer import adadgs_minimize\n"
         "benchmarks.eval_threads = lambda: 2\n"
         "cfg = dataclasses.replace(preset('paper-1000d'), gamma=0.99, reset_interval=2,\n"
@@ -666,6 +668,19 @@ def test_identity_frame_is_rotated_without_a_matmul(name, monkeypatch):
     finite = np.isfinite(nan_values).all(axis=1)
     assert not finite[2] and finite.sum() == d - 1
     assert np.array_equal(nan_values[finite], values.reshape(d, -1)[finite])
+
+
+def test_a_benchmarks_rotation_cannot_be_written_so_no_cached_w_goes_stale():
+    # R was writable: written in place after a frame's W was cached, the next
+    # batch on that frame differed from a fresh benchmark's with the same R
+    b = make_benchmark("ackley", 6, 0)
+    lines = Lines(np.zeros(6), random_rotation(6, np.random.default_rng(1)),
+                  np.array([-1.0, 1.0]))
+    before = b(lines)
+    with pytest.raises(ValueError, match="read-only"):
+        b.rotation[0] *= -1.0
+    fresh = TransformedBenchmark("ackley", b.rotation, b.x_opt)
+    assert np.array_equal(b(lines), before) and np.array_equal(fresh(lines), before)
 
 
 def test_writable_directions_are_never_cached():

@@ -6,6 +6,7 @@ import pytest
 from adadgs.baselines import BaselineConfig, es_bpop_minimize, fd_minimize, nesterov_minimize
 from adadgs.benchmarks import Lines, Objective
 from adadgs.errors import EvaluationError
+from adadgs.gradient import directional_derivative, gauss_hermite_rule
 from adadgs.optimizer import (
     AdaDgsConfig,
     Iterate,
@@ -134,6 +135,29 @@ def test_line_search_nan_candidate_does_not_hide_improvement():
     res = line_search(F, x, np.array([1.0, 1.0]), 20.0, 0.01, 12, f_x=18.0)
     assert res.j is not None
     assert res.f_new < 1.0
+
+
+@pytest.mark.parametrize("setting,message", [
+    ({"S": 1}, "S must be >= 2, got 1"),
+    ({"L_min": -0.5}, "L_min must be positive and finite"),
+    ({"L_max": np.inf}, "L_max must be positive and finite"),
+    ({"L_min": 3.0}, "need L_min < L_max, got 3.0, 2.0"),
+    ({"sigma": 0.0}, "sigma must be positive and finite"),
+    ({"sigma": -1.0}, "sigma must be positive and finite"),
+], ids=["S_one", "L_min_negative", "L_max_inf", "L_min_above_L_max", "sigma_zero",
+        "sigma_negative"])
+def test_the_dgs_helpers_name_a_bad_setting(setting, message):
+    # S=1 divided by zero, a negative L_min stepped along the real parts of
+    # complex candidates, L_max=inf made NaN candidates, an L_min above L_max
+    # and a negative sigma passed without a word, and sigma=0 returned inf
+    F, g = sphere(2), np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        if "sigma" in setting:
+            directional_derivative(g, setting["sigma"], gauss_hermite_rule(2))
+        else:
+            line_search(F, np.ones(2), g, **{"L_max": 2.0, "L_min": 0.01, "S": 12, **setting},
+                        f_x=2.0)
+    assert F.evals == 0
 
 
 # --- sigma update ------------------------------------------------------------
